@@ -14,6 +14,7 @@
 
 #include "bench/bench_common.h"
 #include "core/engine.h"
+#include "data/recovery.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -32,9 +33,11 @@ serve::ToprrServer& LoopbackServer() {
                         Distribution::kIndependent, config.seed);
     serve::ServerConfig server_config;
     server_config.max_inflight_queries = 1024;
-    auto* started = new serve::ToprrServer(
-        DatasetSnapshot::FromDataset(data), server_config);
     std::string error;
+    std::shared_ptr<DurableCatalog> catalog =
+        DurableCatalog::Open(DurabilityOptions{}, &data, &error);
+    CHECK(catalog != nullptr) << error;
+    auto* started = new serve::ToprrServer(catalog, server_config);
     CHECK(started->Start(&error)) << error;
     started->WarmSkyband(GlobalConfig().default_k());
     return started;
@@ -76,7 +79,7 @@ void BM_ServeLoopback(::benchmark::State& state) {
   int rpcs = 0;
   for (auto _ : state) {
     Timer rpc_timer;
-    auto responses = client.SolveBatch(queries);
+    auto responses = client.QueryBatch(queries);
     const double rpc_seconds = rpc_timer.Seconds();
     CHECK(responses.has_value()) << client.last_error();
     CHECK_EQ(responses->size(), queries.size());

@@ -7,10 +7,12 @@
 //   toprr_serve --port 7077 --n 50000 --d 4 --dist IND
 //   toprr_serve --csv products.csv --max_inflight 128 --max_budget 2.0
 //
-// With --data_dir the catalog is crash-durable: publishes are WAL-logged
-// (fsynced per --fsync) before they are acked, checkpoints land every
-// --checkpoint_every publishes, and a restart from the same directory
-// recovers every acked publish -- including across kill -9.
+// The catalog is always a DurableCatalog. Without --data_dir it is
+// in-memory: publishes and their dedupe live until exit. With --data_dir
+// it is crash-durable: publishes are WAL-logged (fsynced per --fsync)
+// before they are acked, checkpoints land every --checkpoint_every
+// publishes, and a restart from the same directory recovers every acked
+// publish -- including across kill -9.
 //
 //   toprr_serve --port 7077 --data_dir /var/lib/toprr --fsync always
 #include <csignal>
@@ -159,27 +161,26 @@ int main(int argc, char** argv) {
   config.header_read_timeout_ms = header_timeout_ms;
   config.max_deadline_ms =
       max_deadline_ms > 0 ? static_cast<uint64_t>(max_deadline_ms) : 0;
-  std::shared_ptr<DurableCatalog> durable;
+  DurabilityOptions durability;
+  durability.data_dir = data_dir;
+  if (!ParseFsyncPolicy(fsync_text, &durability.fsync_policy)) {
+    std::fprintf(stderr, "unknown --fsync policy '%s'\n", fsync_text.c_str());
+    return 1;
+  }
+  durability.checkpoint_every =
+      checkpoint_every > 0 ? static_cast<uint64_t>(checkpoint_every) : 0;
+  std::string open_error;
+  std::shared_ptr<DurableCatalog> catalog =
+      DurableCatalog::Open(durability, &data, &open_error);
+  if (catalog == nullptr) {
+    std::fprintf(stderr, "toprr_serve: open %s failed: %s\n",
+                 data_dir.c_str(), open_error.c_str());
+    return 1;
+  }
   if (!data_dir.empty()) {
-    DurabilityOptions durability;
-    durability.data_dir = data_dir;
-    if (!ParseFsyncPolicy(fsync_text, &durability.fsync_policy)) {
-      std::fprintf(stderr, "unknown --fsync policy '%s'\n",
-                   fsync_text.c_str());
-      return 1;
-    }
-    durability.checkpoint_every =
-        checkpoint_every > 0 ? static_cast<uint64_t>(checkpoint_every) : 0;
-    std::string open_error;
-    durable = DurableCatalog::Open(durability, &data, &open_error);
-    if (durable == nullptr) {
-      std::fprintf(stderr, "toprr_serve: open %s failed: %s\n",
-                   data_dir.c_str(), open_error.c_str());
-      return 1;
-    }
     // Greppable by operators and the --crash smoke gate: what recovery
     // found and where serving resumes.
-    const RecoveryStats& recovery = durable->recovery();
+    const RecoveryStats& recovery = catalog->recovery();
     std::printf(
         "toprr_serve: durable catalog at %s recovered=%d "
         "checkpoint_seq=%llu replayed=%llu skipped=%llu torn_tail=%d "
@@ -194,29 +195,17 @@ int main(int argc, char** argv) {
         recovery.recovery_seconds * 1e3);
     std::fflush(stdout);
   }
-  std::unique_ptr<serve::ToprrServer> server_holder;
-  if (durable != nullptr) {
-    server_holder =
-        std::make_unique<serve::ToprrServer>(durable, config);
-  } else {
-    server_holder = std::make_unique<serve::ToprrServer>(
-        DatasetSnapshot::FromDataset(data), config);
-  }
-  serve::ToprrServer& server = *server_holder;
+  serve::ToprrServer server(catalog, config);
   std::string error;
   if (!server.Start(&error)) {
     std::fprintf(stderr, "toprr_serve: start failed: %s\n", error.c_str());
     return 1;
   }
-  // In the durable case recovery may have replayed past the bootstrap:
-  // report what is actually being served, not what --n asked for.
-  const size_t served_rows =
-      durable != nullptr
-          ? static_cast<size_t>(durable->catalog()->Current()->live_rows())
-          : data.size();
-  const size_t served_dim = durable != nullptr
-                                ? durable->catalog()->Current()->dim()
-                                : data.dim();
+  // Recovery may have replayed past the bootstrap: report what is
+  // actually being served, not what --n asked for.
+  const SnapshotPtr served = catalog->catalog()->Current();
+  const size_t served_rows = static_cast<size_t>(served->live_rows());
+  const size_t served_dim = served->dim();
   if (warm_k > 0 && static_cast<size_t>(warm_k) <= served_rows) {
     server.WarmSkyband(warm_k);
   }
@@ -237,12 +226,10 @@ int main(int argc, char** argv) {
     server.Drain(drain_grace);
   }
   server.Stop();
-  if (durable != nullptr) {
-    // Shutdown barrier: push any group-committed WAL bytes to disk so a
-    // clean exit never loses the batched tail.
-    if (!durable->Flush()) {
-      std::fprintf(stderr, "toprr_serve: WAL flush on shutdown failed\n");
-    }
+  // Shutdown barrier: push any group-committed WAL bytes to disk so a
+  // clean exit never loses the batched tail.
+  if (!catalog->Flush()) {
+    std::fprintf(stderr, "toprr_serve: WAL flush on shutdown failed\n");
   }
   const ServerStatsSnapshot stats = server.stats().Snapshot();
   std::printf("toprr_serve: shut down; %s\n", stats.DebugString().c_str());

@@ -40,7 +40,7 @@ struct ServerStatsSnapshot {
   // Protocol v3 mutation path (zero on a read-only workload).
   uint64_t mutations_staged = 0;     // rows + delete ids accepted
   uint64_t mutations_rejected = 0;   // rows/ids refused (validation/limit)
-  uint64_t publishes_applied = 0;    // deltas published + SyncCatalog run
+  uint64_t publishes_applied = 0;    // deltas published and served
   uint64_t publishes_rejected = 0;   // conflict/empty/shutdown publishes
   uint64_t publishes_deduped = 0;    // retried publishes answered from the
                                      // applied-publish record (idempotency)
@@ -57,7 +57,7 @@ struct ServerStatsSnapshot {
 
   // Durability (PR 10): mirrored from the durable catalog after each
   // publish so `--stats` readers see WAL traffic without linking data/.
-  // All zero when the server runs without a durable catalog.
+  // All zero when the catalog is in-memory (no data_dir).
   uint64_t wal_appends = 0;
   uint64_t wal_bytes = 0;
   uint64_t wal_fsyncs = 0;

@@ -139,6 +139,18 @@ void EncodeAppliedEntry(const AppliedPublishRecord& entry, std::string* out) {
   PutU64(out, entry.physical_rows);
 }
 
+AppliedPublishRecord RecordOf(uint64_t token, uint64_t publish_id,
+                              const DatasetSnapshot& snapshot) {
+  AppliedPublishRecord record;
+  record.token = token;
+  record.publish_id = publish_id;
+  record.snapshot_id = snapshot.id();
+  record.snapshot_seq = snapshot.seq();
+  record.live_rows = snapshot.live_rows();
+  record.physical_rows = snapshot.rows();
+  return record;
+}
+
 bool DecodeAppliedEntry(ByteReader* reader, AppliedPublishRecord* entry) {
   return reader->U64(&entry->token) && reader->U64(&entry->publish_id) &&
          reader->U64(&entry->snapshot_id) &&
@@ -505,14 +517,8 @@ bool ReplayWalTail(const std::vector<std::string>& records,
     SnapshotPtr published = catalog->Publish();
     ++stats->replayed_records;
     if (record.token != 0) {
-      AppliedPublishRecord entry;
-      entry.token = record.token;
-      entry.publish_id = record.publish_id;
-      entry.snapshot_id = published->id();
-      entry.snapshot_seq = published->seq();
-      entry.live_rows = published->live_rows();
-      entry.physical_rows = published->rows();
-      applied->push_back(entry);
+      applied->push_back(
+          RecordOf(record.token, record.publish_id, *published));
     }
   }
   return true;
@@ -557,8 +563,15 @@ std::unique_ptr<DurableCatalog> DurableCatalog::Open(
     const DurabilityOptions& options, const Dataset* bootstrap,
     std::string* error) {
   if (options.data_dir.empty()) {
-    *error = "durability: data_dir is empty";
-    return nullptr;
+    if (bootstrap == nullptr) {
+      *error = "durability: in-memory catalog needs a bootstrap dataset";
+      return nullptr;
+    }
+    auto memory = std::unique_ptr<DurableCatalog>(new DurableCatalog());
+    memory->options_ = options;
+    memory->catalog_ = std::make_shared<MutableCatalog>(
+        DatasetSnapshot::FromDataset(*bootstrap));
+    return memory;
   }
   Timer timer;
   if (!MakeDirs(options.data_dir, error)) return nullptr;
@@ -627,7 +640,12 @@ std::unique_ptr<DurableCatalog> DurableCatalog::Open(
       }
       if (!tail_ok) continue;
       durable->catalog_ = std::move(catalog);
-      durable->recovered_publishes_ = std::move(applied);
+      {
+        std::lock_guard<std::mutex> lock(durable->mu_);
+        for (const AppliedPublishRecord& record : applied) {
+          durable->RememberLocked(record);
+        }
+      }
       durable->recovery_ = stats;
       durable->recovery_.recovered = true;
       recovered = true;
@@ -674,11 +692,9 @@ bool DurableCatalog::OpenWalForAppend(uint64_t base_seq, std::string* error) {
 
 bool DurableCatalog::CheckpointLocked(std::string* error) {
   SnapshotPtr head = catalog_->Current();
-  // The dedupe table snapshot: recovered entries plus everything applied
-  // since (the server's bounded cache re-bounds on seeding).
   if (!WriteCheckpointFile(
           options_.data_dir + "/" + CheckpointName(head->seq()), *head,
-          recovered_publishes_, error)) {
+          AppliedLocked(), error)) {
     return false;
   }
   ++checkpoints_written_;
@@ -709,15 +725,65 @@ bool DurableCatalog::CheckpointLocked(std::string* error) {
   return true;
 }
 
+void DurableCatalog::RememberLocked(const AppliedPublishRecord& record) {
+  if (record.token == 0) return;
+  // A known token only replaces its record; it keeps its place.
+  if (!applied_.insert_or_assign(record.token, record).second) return;
+  applied_order_.push_back(record.token);
+  if (applied_order_.size() > kMaxAppliedTokens) {
+    applied_.erase(applied_order_.front());
+    applied_order_.pop_front();
+  }
+}
+
+std::vector<AppliedPublishRecord> DurableCatalog::AppliedLocked() const {
+  std::vector<AppliedPublishRecord> applied;
+  applied.reserve(applied_order_.size());
+  for (const uint64_t token : applied_order_) {
+    applied.push_back(applied_.at(token));
+  }
+  return applied;
+}
+
+const AppliedPublishRecord* DurableCatalog::FindLocked(
+    uint64_t token, uint64_t publish_id) const {
+  if (token == 0) return nullptr;
+  const auto it = applied_.find(token);
+  return it != applied_.end() && it->second.publish_id == publish_id
+             ? &it->second
+             : nullptr;
+}
+
+std::optional<AppliedPublishRecord> DurableCatalog::LookupPublish(
+    uint64_t token, uint64_t publish_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const AppliedPublishRecord* record = FindLocked(token, publish_id);
+  if (record == nullptr) return std::nullopt;
+  return *record;
+}
+
 DurableCatalog::PublishOutcome DurableCatalog::Publish(
     const std::vector<Vec>& inserts, const std::vector<uint64_t>& deletes,
     uint64_t token, uint64_t publish_id) {
   std::lock_guard<std::mutex> lock(mu_);
   PublishOutcome outcome;
   SnapshotPtr parent = catalog_->Current();
-  if (inserts.empty() && deletes.empty()) {
+  if (const AppliedPublishRecord* seen = FindLocked(token, publish_id)) {
     outcome.ok = true;
-    outcome.snapshot = parent;
+    outcome.status = PublishStatus::kAlreadyApplied;
+    outcome.snapshot = std::move(parent);
+    outcome.applied = *seen;
+    return outcome;
+  }
+  // Answers this publish with `snapshot`, the now-current version.
+  const auto applied = [&](SnapshotPtr snapshot) {
+    outcome.ok = true;
+    outcome.status = PublishStatus::kApplied;
+    outcome.applied = RecordOf(token, publish_id, *snapshot);
+    outcome.snapshot = std::move(snapshot);
+  };
+  if (inserts.empty() && deletes.empty()) {
+    applied(std::move(parent));
     return outcome;
   }
 
@@ -727,7 +793,8 @@ DurableCatalog::PublishOutcome DurableCatalog::Publish(
   record.deletes.reserve(deletes.size());
   for (const uint64_t id : deletes) {
     if (id >= parent->rows() || !parent->IsLive(id)) {
-      outcome.error = "durable publish: delete of a dead or unknown row";
+      outcome.status = PublishStatus::kConflict;
+      outcome.error = "row id " + std::to_string(id) + " is no longer live";
       return outcome;
     }
     record.deletes.push_back(static_cast<int>(id));
@@ -749,6 +816,12 @@ DurableCatalog::PublishOutcome DurableCatalog::Publish(
 
   for (const Vec& row : inserts) catalog_->StageInsert(row);
   for (const int id : record.deletes) catalog_->StageDelete(id);
+
+  if (in_memory()) {
+    applied(catalog_->Publish());
+    RememberLocked(outcome.applied);
+    return outcome;
+  }
 
   uint64_t child_id = 0;
   uint64_t child_seq = 0;
@@ -785,22 +858,8 @@ DurableCatalog::PublishOutcome DurableCatalog::Publish(
     LOG(ERROR) << outcome.error;
     return outcome;
   }
-
-  if (token != 0) {
-    AppliedPublishRecord entry;
-    entry.token = token;
-    entry.publish_id = publish_id;
-    entry.snapshot_id = published->id();
-    entry.snapshot_seq = published->seq();
-    entry.live_rows = published->live_rows();
-    entry.physical_rows = published->rows();
-    recovered_publishes_.push_back(entry);
-    // The table persists into every checkpoint; bound it like the
-    // server's idempotency cache so it cannot grow without limit.
-    if (recovered_publishes_.size() > 1024) {
-      recovered_publishes_.erase(recovered_publishes_.begin());
-    }
-  }
+  applied(std::move(published));
+  RememberLocked(outcome.applied);
 
   ++publishes_since_checkpoint_;
   if (options_.checkpoint_every > 0 &&
@@ -813,13 +872,11 @@ DurableCatalog::PublishOutcome DurableCatalog::Publish(
       publishes_since_checkpoint_ = 0;
     }
   }
-
-  outcome.ok = true;
-  outcome.snapshot = std::move(published);
   return outcome;
 }
 
 bool DurableCatalog::Checkpoint(std::string* error) {
+  if (in_memory()) return true;
   std::lock_guard<std::mutex> lock(mu_);
   return CheckpointLocked(error);
 }

@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/logging.h"
 #include "geom/linalg.h"
 
 namespace toprr {
@@ -319,7 +318,9 @@ std::optional<ConvexHullResult> ComputeConvexHull(
       const Facet& vf = facets[v];
       for (size_t i = 0; i < vf.vertices.size(); ++i) {
         const int nb = vf.neighbors[i];
-        DCHECK_GE(nb, 0);
+        // A missing neighbour means the adjacency is broken (degenerate
+        // input); the horizon cannot be traced, so give up on the hull.
+        if (nb < 0) return std::nullopt;
         if (is_visible[nb]) continue;
         Horizon h;
         for (size_t j = 0; j < vf.vertices.size(); ++j) {
@@ -370,6 +371,7 @@ std::optional<ConvexHullResult> ComputeConvexHull(
       nf.neighbors[nf.vertices.size() - 1] = h.outside_facet;
       // Fix the outer facet's back-pointer.
       Facet& outer = facets[h.outside_facet];
+      bool rewired = false;
       for (size_t i = 0; i < outer.vertices.size(); ++i) {
         // Neighbors rewired to cone facets created earlier in this round
         // have ids past is_visible's range; they are never visible.
@@ -387,10 +389,12 @@ std::optional<ConvexHullResult> ComputeConvexHull(
           std::sort(b.begin(), b.end());
           if (a == b) {
             outer.neighbors[i] = nid;
+            rewired = true;
             break;
           }
         }
       }
+      if (!rewired) return std::nullopt;
       facets.push_back(std::move(nf));
       new_ids.push_back(nid);
     }
@@ -410,18 +414,12 @@ std::optional<ConvexHullResult> ComputeConvexHull(
         ridge_map[key].push_back({nid, static_cast<int>(vi)});
       }
     }
-    bool wiring_ok = true;
     for (const auto& [key, uses] : ridge_map) {
-      if (uses.size() != 2) {
-        wiring_ok = false;
-        continue;
-      }
+      // A ridge shared by other than two cone facets is non-manifold:
+      // some facet would be left without a neighbour across it.
+      if (uses.size() != 2) return std::nullopt;
       facets[uses[0].first].neighbors[uses[0].second] = uses[1].first;
       facets[uses[1].first].neighbors[uses[1].second] = uses[0].first;
-    }
-    if (!wiring_ok) {
-      LOG(DEBUG) << "quickhull: non-manifold ridge wiring near apex " << apex
-                 << " (degenerate input); results remain usable";
     }
 
     // Redistribute orphans over the new facets.
@@ -438,9 +436,6 @@ std::optional<ConvexHullResult> ComputeConvexHull(
         }
       }
       if (target >= 0) facets[target].outside.push_back(pid);
-    }
-    if (static_cast<size_t>(fi) < visited.size()) {
-      // no-op: keeps clang-tidy quiet about unused capture patterns
     }
     for (int nid : new_ids) {
       if (!facets[nid].outside.empty()) pending_facets.push_back(nid);

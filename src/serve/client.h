@@ -142,13 +142,6 @@ class ToprrClient {
   std::optional<std::vector<ServeResponse>> QueryBatch(
       const std::vector<ToprrQuery>& queries, const QueryOptions& options);
 
-  /// DEPRECATED pre-v3 name of QueryBatch; new call sites should use the
-  /// session surface above.
-  std::optional<std::vector<ServeResponse>> SolveBatch(
-      const std::vector<ToprrQuery>& queries) {
-    return QueryBatch(queries);
-  }
-
   /// Mutation RPCs: stage rows/deletes into this connection's session on
   /// the server, publish the staged delta, or read the served snapshot
   /// (CatalogInfo also reports this session's staged sizes). Each blocks
@@ -171,9 +164,10 @@ class ToprrClient {
   /// Read-your-writes helper: polls CatalogInfo until the served
   /// snapshot's seq reaches `min_snapshot_seq` (typically a Publish
   /// ack's snapshot_seq) or `timeout_seconds` elapses. On this server a
-  /// publish ack already implies visibility -- SyncCatalog runs before
-  /// the ack -- so this exists for cross-connection ordering: wait here
-  /// before reading a write acked to a different connection.
+  /// publish ack already implies visibility -- the engine serves the new
+  /// snapshot before the ack -- so this exists for cross-connection
+  /// ordering: wait here before reading a write acked to a different
+  /// connection.
   bool WaitForSnapshot(uint64_t min_snapshot_seq,
                        double timeout_seconds = 5.0);
 

@@ -198,7 +198,7 @@ struct ServerHello {
 
 /// The answer to every mutation RPC. `snapshot_*` is the version the
 /// server is serving after the RPC (for a successful Publish: the newly
-/// published one -- SyncCatalog has already run when the ack is sent).
+/// published one -- already being served when the ack is sent).
 struct MutationAck {
   MutationStatus status = MutationStatus::kInternalError;
   uint64_t snapshot_id = 0;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 #include <utility>
@@ -47,71 +48,29 @@ std::string MalformedMarkerReply() {
 
 }  // namespace
 
-ToprrServer::ToprrServer(SnapshotPtr snapshot, ServerConfig config)
-    : ToprrServer(std::make_shared<MutableCatalog>(std::move(snapshot)),
-                  std::move(config)) {}
-
-ToprrServer::ToprrServer(std::shared_ptr<MutableCatalog> catalog,
+ToprrServer::ToprrServer(std::shared_ptr<DurableCatalog> catalog,
                          ServerConfig config)
     : config_(std::move(config)),
       catalog_(std::move(catalog)),
-      engine_(catalog_->Current()) {
+      engine_(catalog_->catalog()->Current()) {
   if (config_.use_region_cache) {
     RegionCacheConfig cache_config;
     cache_config.byte_budget = config_.region_cache_budget_bytes;
     cache_config.quantum = config_.region_cache_quantum;
     engine_.EnableRegionCache(cache_config);
   }
-}
-
-ToprrServer::ToprrServer(std::shared_ptr<DurableCatalog> durable,
-                         ServerConfig config)
-    : config_(std::move(config)),
-      durable_(std::move(durable)),
-      catalog_(durable_->catalog()),
-      engine_(catalog_->Current()) {
-  if (config_.use_region_cache) {
-    RegionCacheConfig cache_config;
-    cache_config.byte_budget = config_.region_cache_budget_bytes;
-    cache_config.quantum = config_.region_cache_quantum;
-    engine_.EnableRegionCache(cache_config);
-  }
-  // Seed the idempotency dedupe table from the publishes recovered off
-  // disk so a writer retrying (or probing) a pre-crash publish against
-  // this restarted server is answered already_applied, not applied
-  // twice. Oldest first, same bound and eviction order as live entries.
-  for (const AppliedPublishRecord& record : durable_->recovered_publishes()) {
-    if (record.token == 0) continue;
-    MutationAck ack;
-    ack.status = MutationStatus::kOk;
-    ack.snapshot_id = record.snapshot_id;
-    ack.snapshot_seq = record.snapshot_seq;
-    ack.live_rows = record.live_rows;
-    ack.physical_rows = record.physical_rows;
-    ack.idempotency_token = record.token;
-    ack.publish_id = record.publish_id;
-    if (applied_publishes_.find(record.token) == applied_publishes_.end()) {
-      applied_token_order_.push_back(record.token);
-    }
-    applied_publishes_[record.token] = AppliedPublish{record.publish_id, ack};
-    while (applied_token_order_.size() > config_.idempotency_cache_entries) {
-      applied_publishes_.erase(applied_token_order_.front());
-      applied_token_order_.pop_front();
-    }
-  }
-  const RecoveryStats& recovery = durable_->recovery();
+  const RecoveryStats& recovery = catalog_->recovery();
   stats_.SetRecovery(recovery.recovered, recovery.replayed_records,
                      recovery.skipped_records, recovery.snapshot_seq,
                      recovery.recovery_seconds);
-  const DurableCounters counters = durable_->counters();
+  MirrorDurableCounters();
+}
+
+void ToprrServer::MirrorDurableCounters() {
+  const DurableCounters counters = catalog_->counters();
   stats_.SetDurableCounters(counters.wal_appends, counters.wal_bytes,
                             counters.wal_fsyncs,
                             counters.checkpoints_written);
-}
-
-uint64_t ToprrServer::SyncCatalog() {
-  engine_.SetSnapshot(catalog_->Current());
-  return engine_.snapshot_id();
 }
 
 ToprrServer::~ToprrServer() { Stop(); }
@@ -478,7 +437,7 @@ std::string ToprrServer::HandleQueryBatch(const std::string& payload) {
 
   // Per-query validation, then all-or-nothing admission of the
   // solvable remainder. The bounds are sampled once per frame; a
-  // SyncCatalog racing with admission is harmless -- physical rows
+  // publish racing with admission is harmless -- physical rows
   // never shrink, so a query validated here cannot trip the engine's
   // hard bound even if a delete publishes before its solve pins.
   const size_t live_rows = engine_.dataset_rows();
@@ -668,119 +627,60 @@ MutationAck ToprrServer::HandlePublish(MutationSession* session,
                         ? "server draining"
                         : "server shutting down");
   }
+  std::lock_guard<std::mutex> lock(publish_mu_);
+  // Set when (token, id) was applied before: the ack then reports the
+  // snapshot that publish produced, flagged already_applied.
+  std::optional<AppliedPublishRecord> replayed;
   if (probe) {
-    // Read-only query of the applied-publish record: did (token, id)
-    // land? Nothing is published and the session's staged delta is left
+    // Read-only query of the idempotency table: did (token, id) land?
+    // Nothing is published and the session's staged delta is left
     // untouched, so a reconnecting writer can probe before deciding
     // whether to re-stage (the decoder guarantees a non-zero token).
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    auto it = applied_publishes_.find(idempotency_token);
-    if (it != applied_publishes_.end() &&
-        it->second.publish_id == publish_id) {
-      MutationAck ack = it->second.ack;
-      ack.already_applied = true;
-      ack.staged_inserts = static_cast<uint32_t>(session->rows.size());
-      ack.staged_deletes = static_cast<uint32_t>(session->deletes.size());
-      return ack;
-    }
-    MutationAck ack = StampAck(MutationStatus::kOk, *session);
-    ack.idempotency_token = idempotency_token;
-    ack.publish_id = publish_id;
-    return ack;
-  }
-  if (idempotency_token != 0) {
-    // A retried Publish whose original ack was lost arrives with the
-    // same (token, publish_id) after the client re-staged its delta on
-    // the fresh connection. The delta is already in the catalog: drop
-    // the re-staged copy and answer from the applied-publish record.
-    std::lock_guard<std::mutex> lock(publish_mu_);
-    auto it = applied_publishes_.find(idempotency_token);
-    if (it != applied_publishes_.end() &&
-        it->second.publish_id == publish_id) {
-      session->rows.clear();
-      session->deletes.clear();
-      MutationAck ack = it->second.ack;
-      ack.already_applied = true;
-      ack.staged_inserts = 0;
-      ack.staged_deletes = 0;
-      stats_.OnPublishDeduped();
-      return ack;
-    }
-  }
-  if (session->size() == 0) {
-    // Idempotent no-op: ack the currently served version.
-    MutationAck ack = StampAck(MutationStatus::kOk, *session);
-    ack.idempotency_token = idempotency_token;
-    ack.publish_id = publish_id;
-    return ack;
-  }
-  std::lock_guard<std::mutex> lock(publish_mu_);
-  // Re-validate the delete set against the snapshot this publish will
-  // build on: another connection's publish may have tombstoned a row
-  // since it was staged here. Rows were fully validated at staging time
-  // (dimension, finiteness) and the delete set is unique, so past this
-  // check the stage + publish below cannot fail partway -- which is what
-  // makes wire publishes all-or-nothing without catalog rollback.
-  const SnapshotPtr base = catalog_->Current();
-  for (const uint64_t id : session->deletes) {
-    if (id >= base->rows() || !base->IsLive(id)) {
-      stats_.OnPublishRejected();
-      return StampAck(MutationStatus::kConflict, *session,
-                      "row id " + std::to_string(id) +
-                          " is no longer live; delta kept staged");
-    }
-  }
-  if (durable_ != nullptr) {
-    // Durable path: WAL append (+ fsync per policy) happens inside
-    // DurableCatalog::Publish BEFORE the in-memory publish, so by the
-    // time this ack leaves the server the delta survives kill -9. On
-    // failure nothing was applied (the staged delta was rolled back
-    // inside); the session keeps its copy for amendment/retry.
-    const DurableCatalog::PublishOutcome outcome = durable_->Publish(
-        session->rows, session->deletes, idempotency_token, publish_id);
-    if (!outcome.ok) {
-      stats_.OnPublishRejected();
-      LOG(ERROR) << "durable publish failed: " << outcome.error;
-      return StampAck(MutationStatus::kInternalError, *session,
-                      "durable publish failed: " + outcome.error);
-    }
-    const DurableCounters counters = durable_->counters();
-    stats_.SetDurableCounters(counters.wal_appends, counters.wal_bytes,
-                              counters.wal_fsyncs,
-                              counters.checkpoints_written);
+    replayed = catalog_->LookupPublish(idempotency_token, publish_id);
   } else {
-    for (const Vec& row : session->rows) catalog_->StageInsert(row);
-    for (const uint64_t id : session->deletes) {
-      if (!catalog_->StageDelete(static_cast<int>(id))) {
-        // Only reachable when an external writer races the wire path on
-        // a shared catalog; the delete validated moments ago.
-        LOG(WARNING) << "staged delete of row " << id
-                     << " rejected by the catalog (external writer race)";
-      }
+    // A retried Publish whose original ack was lost arrives with the
+    // same (token, publish_id), usually after the client re-staged its
+    // delta on a fresh connection; the catalog answers it already
+    // applied. An empty delta is a no-op acking the served version.
+    const DurableCatalog::PublishOutcome outcome = catalog_->Publish(
+        session->rows, session->deletes, idempotency_token, publish_id);
+    switch (outcome.status) {
+      case DurableCatalog::PublishStatus::kConflict:
+        // Another connection's publish tombstoned a row since it was
+        // staged here. Nothing was applied.
+        stats_.OnPublishRejected();
+        return StampAck(MutationStatus::kConflict, *session,
+                        outcome.error + "; delta kept staged");
+      case DurableCatalog::PublishStatus::kFailed:
+        // Nothing was applied (a failed WAL append rolls the staged
+        // delta back); the session keeps its copy for amendment/retry.
+        stats_.OnPublishRejected();
+        LOG(ERROR) << "durable publish failed: " << outcome.error;
+        return StampAck(MutationStatus::kInternalError, *session,
+                        "durable publish failed: " + outcome.error);
+      case DurableCatalog::PublishStatus::kAlreadyApplied:
+        stats_.OnPublishDeduped();
+        replayed = outcome.applied;
+        break;
+      case DurableCatalog::PublishStatus::kApplied:
+        if (session->size() == 0) break;
+        engine_.SetSnapshot(outcome.snapshot);
+        stats_.OnPublishApplied();
+        MirrorDurableCounters();
+        break;
     }
-    catalog_->Publish();
+    session->rows.clear();
+    session->deletes.clear();
   }
-  SyncCatalog();
-  stats_.OnPublishApplied();
-  session->rows.clear();
-  session->deletes.clear();
   MutationAck ack = StampAck(MutationStatus::kOk, *session);
   ack.idempotency_token = idempotency_token;
   ack.publish_id = publish_id;
-  if (idempotency_token != 0) {
-    // Record (still under publish_mu_) so an exact retry is recognized.
-    // Distinct tokens are bounded by evicting the oldest token whole; a
-    // token republishing just overwrites its record in place.
-    if (applied_publishes_.find(idempotency_token) ==
-        applied_publishes_.end()) {
-      applied_token_order_.push_back(idempotency_token);
-      while (applied_token_order_.size() > config_.idempotency_cache_entries &&
-             !applied_token_order_.empty()) {
-        applied_publishes_.erase(applied_token_order_.front());
-        applied_token_order_.pop_front();
-      }
-    }
-    applied_publishes_[idempotency_token] = AppliedPublish{publish_id, ack};
+  if (replayed.has_value()) {
+    ack.snapshot_id = replayed->snapshot_id;
+    ack.snapshot_seq = replayed->snapshot_seq;
+    ack.live_rows = replayed->live_rows;
+    ack.physical_rows = replayed->physical_rows;
+    ack.already_applied = true;
   }
   return ack;
 }
@@ -945,11 +845,11 @@ void ToprrServer::ServeConnection(int fd) {
             break;
           }
           MutationAck info = StampAck(MutationStatus::kOk, session);
-          if (durable_ != nullptr) {
+          if (!catalog_->in_memory()) {
             // Durability one-liner for human correlation with client
             // logs (capped on the wire alongside error messages).
-            const DurableCounters counters = durable_->counters();
-            const RecoveryStats& recovery = durable_->recovery();
+            const DurableCounters counters = catalog_->counters();
+            const RecoveryStats& recovery = catalog_->recovery();
             info.message = "durable wal_appends=" +
                            std::to_string(counters.wal_appends) +
                            " checkpoints=" +

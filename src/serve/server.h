@@ -1,14 +1,15 @@
 // ToprrServer: a long-lived TCP front-end over ToprrEngine::SolveBatch
 // and, since protocol v3, over the catalog mutation path.
 //
-// One server owns one engine AND one MutableCatalog over a
-// snapshot-versioned dataset (data/snapshot.h). Clients connect over TCP
-// and exchange length-prefixed frames (serve/framing.h); each payload is
-// dispatched on its v3 header type: query batches, the Hello/ServerHello
-// handshake, and the mutation RPCs (StageInsert / StageDelete / Publish /
-// CatalogInfo). A connection serves any number of frames sequentially;
-// concurrency comes from concurrent connections, which all feed the one
-// engine and its shared skyband cache.
+// One server owns one engine over one DurableCatalog (data/recovery.h):
+// a WAL-backed catalog when opened with a data_dir, an in-memory one
+// when opened without. Clients connect over TCP and exchange
+// length-prefixed frames (serve/framing.h); each payload is dispatched
+// on its v3 header type: query batches, the Hello/ServerHello
+// handshake, and the mutation RPCs (StageInsert / StageDelete / Publish
+// / CatalogInfo). A connection serves any number of frames
+// sequentially; concurrency comes from concurrent connections, which
+// all feed the one engine and its shared skyband cache.
 //
 // Frames whose header carries a foreign protocol version are answered
 // with the frozen kVersionMismatch frame and the connection is closed --
@@ -16,13 +17,16 @@
 //
 // Mutation model: each connection buffers its staged rows/deletes
 // locally (bounded by ServerConfig::max_staged_mutations, all-or-nothing
-// per frame). Publish takes a server-wide publish mutex, pre-validates
-// the whole delta against the current snapshot, stages it into the
-// catalog, publishes, and runs SyncCatalog() before acking -- so a
-// Publish ack carrying snapshot_seq S promises every later response
-// (any connection) carries seq >= S: read-your-writes. A conflicting
-// delta (a staged delete lost a race with another writer's publish) is
-// rejected whole and stays staged on the connection for amendment.
+// per frame). Publish has one path: under a server-wide publish mutex it
+// hands the delta to DurableCatalog::Publish, which owns the idempotency
+// table (an exact (token, publish id) retry answers already_applied),
+// rejects a delete of a row that is no longer live as a conflict, and
+// otherwise logs (durable mode) and publishes. The engine is moved onto
+// the new snapshot before the ack -- so a Publish ack carrying
+// snapshot_seq S promises every later response (any connection) carries
+// seq >= S: read-your-writes. A conflicting delta (a staged delete lost
+// a race with another writer's publish) is rejected whole and stays
+// staged on the connection for amendment.
 //
 // Admission control: the server maintains a bounded in-flight query
 // count (ServerConfig::max_inflight_queries). A batch is admitted
@@ -44,12 +48,10 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/server_stats.h"
@@ -119,10 +121,6 @@ struct ServerConfig {
   double brownout_inflight_fraction = 0.75;
   double brownout_budget_seconds = 0.0;
 
-  /// Bound on remembered (idempotency token -> last applied publish)
-  /// records; oldest tokens are evicted first.
-  size_t idempotency_cache_entries = 1024;
-
   /// Enables the engine's cross-query region cache
   /// (core/region_cache.h) and opts every admitted query into it.
   /// Server-side policy only -- nothing on the wire selects caching, so
@@ -138,30 +136,15 @@ struct ServerConfig {
 
 class ToprrServer {
  public:
-  /// Serves `snapshot` as the root of a server-owned MutableCatalog;
-  /// protocol-v3 mutation RPCs publish successors onto it. The canonical
-  /// fixed-table construction is
-  ///   ToprrServer server(DatasetSnapshot::FromDataset(data), config);
-  /// (the pre-snapshot Dataset* constructor was removed with the engine's
-  /// legacy ownership model).
-  ToprrServer(SnapshotPtr snapshot, ServerConfig config);
-
-  /// Shared-catalog form: serves catalog->Current() and follows later
-  /// publishes via SyncCatalog(). An external writer may stage/publish on
-  /// the catalog from any thread alongside the wire mutation path --
-  /// MutableCatalog serializes writers internally; queries in flight when
-  /// a publish lands finish on their pinned snapshot.
-  ToprrServer(std::shared_ptr<MutableCatalog> catalog, ServerConfig config);
-
-  /// Crash-durable form: serves `durable->catalog()` and routes every
-  /// wire Publish through DurableCatalog::Publish (WAL append, fsync per
-  /// the catalog's policy, checkpoint cadence) before acking -- an acked
-  /// publish survives kill -9. The idempotency dedupe table is seeded
-  /// from the publishes recovered off disk, so a writer retrying (or
-  /// probing) a pre-crash publish against the restarted server is
-  /// answered already_applied instead of applying twice. Recovery and
-  /// WAL counters surface through stats().
-  ToprrServer(std::shared_ptr<DurableCatalog> durable, ServerConfig config);
+  /// Serves `catalog`'s current snapshot and routes every wire Publish
+  /// through DurableCatalog::Publish before acking. With a data_dir the
+  /// WAL append (fsync per the catalog's policy) precedes the ack, so an
+  /// acked publish survives kill -9, and a writer retrying (or probing)
+  /// a pre-crash publish against a restarted server is answered
+  /// already_applied from the recovered idempotency table. Recovery and
+  /// WAL counters surface through stats(). For a fixed table:
+  ///   ToprrServer server(DurableCatalog::Open({}, &data, &error), config);
+  ToprrServer(std::shared_ptr<DurableCatalog> catalog, ServerConfig config);
 
   ToprrServer(const ToprrServer&) = delete;
   ToprrServer& operator=(const ToprrServer&) = delete;
@@ -199,14 +182,6 @@ class ToprrServer {
   /// the warm-up cost.
   void WarmSkyband(int k) { engine_.KSkyband(k); }
 
-  /// Moves the engine onto the catalog's current snapshot (no-op when
-  /// already there). The wire Publish path calls this itself before
-  /// acking; call it manually after an external MutableCatalog::Publish
-  /// to make that version visible to queries. Returns the snapshot id
-  /// now being served. Safe at any time: this is the serve-side half of
-  /// the snapshot contract, no quiescing needed.
-  uint64_t SyncCatalog();
-
  private:
   /// One connection's locally buffered mutation delta (not yet in the
   /// catalog). Dropped with the connection if never published.
@@ -233,6 +208,9 @@ class ToprrServer {
                             uint64_t idempotency_token, uint64_t publish_id,
                             bool probe = false);
 
+  /// Copies the catalog's WAL/checkpoint counters into stats_.
+  void MirrorDurableCounters();
+
   /// An ack stamped with the engine's current snapshot and the session's
   /// post-RPC staged sizes.
   MutationAck StampAck(MutationStatus status, const MutationSession& session,
@@ -253,33 +231,16 @@ class ToprrServer {
       const std::chrono::steady_clock::time_point* deadline);
 
   const ServerConfig config_;
-  // Null unless the durable constructor ran; when set, catalog_ is
-  // durable_->catalog() and wire publishes go through durable_->Publish
-  // so the WAL append happens before the ack.
-  std::shared_ptr<DurableCatalog> durable_;
-  // Declared before engine_: the engine is seeded from
-  // catalog_->Current() in the member-init list. Never null.
-  std::shared_ptr<MutableCatalog> catalog_;
+  // Declared before engine_: the engine is seeded from the catalog's
+  // current snapshot in the member-init list. Never null.
+  std::shared_ptr<DurableCatalog> catalog_;
   ToprrEngine engine_;
   ServerStats stats_;
 
-  /// Serializes the validate + stage + publish + SyncCatalog critical
-  /// section of wire publishes, so pre-validation stays true while the
-  /// delta is applied and the catalog's staging area is empty between
-  /// wire publishes.
+  /// Serializes publishes with the engine rebind and ack that follow
+  /// them (and probes with both), so acks leave in publish order and
+  /// each ack's snapshot is already being served.
   std::mutex publish_mu_;
-
-  /// The record a Publish carrying an idempotency token leaves behind:
-  /// an exact retry (same token, same publish id) is answered from it
-  /// with already_applied = true instead of publishing twice. Guarded by
-  /// publish_mu_; bounded by config_.idempotency_cache_entries with
-  /// oldest-token-first eviction.
-  struct AppliedPublish {
-    uint64_t publish_id = 0;
-    MutationAck ack;
-  };
-  std::unordered_map<uint64_t, AppliedPublish> applied_publishes_;
-  std::deque<uint64_t> applied_token_order_;
 
   int listen_fd_ = -1;
   int port_ = 0;

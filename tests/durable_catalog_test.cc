@@ -7,13 +7,14 @@
 // twice.
 #include "data/recovery.h"
 
+#include <dirent.h>
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
-#include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -221,8 +222,8 @@ TEST(DurablePublishTest, FailureAfterFirstPublishKeepsTheAckedOne) {
   ASSERT_NE(durable, nullptr) << error;
   EXPECT_EQ(durable->recovery().snapshot_id, acked_id);
   EXPECT_EQ(durable->recovery().snapshot_seq, acked_seq);
-  ASSERT_EQ(durable->recovered_publishes().size(), 1u);
-  EXPECT_EQ(durable->recovered_publishes()[0].publish_id, 1u);
+  EXPECT_TRUE(durable->LookupPublish(5, 1).has_value());
+  EXPECT_FALSE(durable->LookupPublish(5, 2).has_value());
 }
 
 TEST(DurablePublishTest, CountersAccumulateAcrossRotations) {
@@ -245,6 +246,123 @@ TEST(DurablePublishTest, CountersAccumulateAcrossRotations) {
   EXPECT_EQ(counters.wal_fsyncs, 3u);
   EXPECT_EQ(counters.checkpoints_written, 4u);  // open seal + 3 rotations
   EXPECT_TRUE(durable->Flush());
+}
+
+// Names in `dir` other than "." and "..".
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return names;
+  while (const struct dirent* entry = ::readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name != "." && name != "..") names.push_back(name);
+  }
+  ::closedir(d);
+  return names;
+}
+
+TEST(InMemoryCatalogTest, EmptyDataDirOpensInMemoryAndWritesNoFiles) {
+  // Run from a fresh working directory so any relative path the catalog
+  // might write would show up in it.
+  const std::string dir = MakeTempDir();
+  char cwd[4096];
+  ASSERT_NE(::getcwd(cwd, sizeof(cwd)), nullptr);
+  ASSERT_EQ(::chdir(dir.c_str()), 0);
+  const Dataset bootstrap = MakeBootstrap(12, 3);
+  std::string error;
+  auto memory = DurableCatalog::Open(DurabilityOptions{}, &bootstrap, &error);
+  ASSERT_NE(memory, nullptr) << error;
+  EXPECT_TRUE(memory->in_memory());
+  const auto published =
+      memory->Publish({Vec{0.9, 0.9, 0.9}}, {0, 1}, /*token=*/3,
+                      /*publish_id=*/1);
+  ASSERT_TRUE(published.ok) << published.error;
+  EXPECT_EQ(published.status, DurableCatalog::PublishStatus::kApplied);
+  EXPECT_EQ(published.snapshot->live_rows(), 11u);
+  EXPECT_EQ(published.applied.snapshot_id, published.snapshot->id());
+  EXPECT_TRUE(memory->Checkpoint(&error)) << error;
+  EXPECT_TRUE(memory->Flush());
+
+  const RecoveryStats& recovery = memory->recovery();
+  EXPECT_FALSE(recovery.recovered);
+  EXPECT_EQ(recovery.checkpoint_seq, 0u);
+  EXPECT_EQ(recovery.replayed_records, 0u);
+  EXPECT_EQ(recovery.snapshot_id, 0u);
+  EXPECT_EQ(recovery.snapshot_seq, 0u);
+  EXPECT_EQ(recovery.recovery_seconds, 0.0);
+  const DurableCounters counters = memory->counters();
+  EXPECT_EQ(counters.wal_appends, 0u);
+  EXPECT_EQ(counters.wal_bytes, 0u);
+  EXPECT_EQ(counters.wal_fsyncs, 0u);
+  EXPECT_EQ(counters.checkpoints_written, 0u);
+  memory.reset();
+  ASSERT_EQ(::chdir(cwd), 0);
+  EXPECT_TRUE(ListDir(dir).empty());
+
+  EXPECT_EQ(DurableCatalog::Open(DurabilityOptions{}, nullptr, &error),
+            nullptr);
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(InMemoryCatalogTest, ExactReplayIsAlreadyAppliedAndStagesNothing) {
+  const Dataset bootstrap = MakeBootstrap(10, 3);
+  std::string error;
+  auto memory = DurableCatalog::Open(DurabilityOptions{}, &bootstrap, &error);
+  ASSERT_NE(memory, nullptr) << error;
+  const auto first = memory->Publish({Vec{0.9, 0.9, 0.9}}, {}, 7, 1);
+  ASSERT_TRUE(first.ok) << first.error;
+  const uint64_t head = memory->catalog()->CurrentId();
+
+  // The same (token, id) with a different delta: answered from the
+  // table, nothing staged or published.
+  const auto replay = memory->Publish({Vec{0.1, 0.1, 0.1}}, {2}, 7, 1);
+  ASSERT_TRUE(replay.ok);
+  EXPECT_EQ(replay.status, DurableCatalog::PublishStatus::kAlreadyApplied);
+  EXPECT_EQ(replay.applied.snapshot_id, first.snapshot->id());
+  EXPECT_EQ(replay.applied.snapshot_seq, first.snapshot->seq());
+  EXPECT_EQ(memory->catalog()->CurrentId(), head);
+  EXPECT_EQ(memory->catalog()->staged_inserts(), 0u);
+  EXPECT_EQ(memory->catalog()->staged_deletes(), 0u);
+
+  ASSERT_TRUE(memory->LookupPublish(7, 1).has_value());
+  EXPECT_EQ(memory->LookupPublish(7, 1)->snapshot_id, head);
+  EXPECT_FALSE(memory->LookupPublish(7, 2).has_value());
+  EXPECT_FALSE(memory->LookupPublish(0, 0).has_value());
+
+  // A delete of a row that is gone is a typed conflict, not a failure.
+  ASSERT_TRUE(memory->Publish({}, {4}, 8, 1).ok);
+  const auto conflict = memory->Publish({}, {4}, 8, 2);
+  EXPECT_FALSE(conflict.ok);
+  EXPECT_EQ(conflict.status, DurableCatalog::PublishStatus::kConflict);
+  EXPECT_NE(conflict.error.find("row id 4"), std::string::npos)
+      << conflict.error;
+  EXPECT_FALSE(memory->LookupPublish(8, 2).has_value());
+}
+
+TEST(InMemoryCatalogTest, TableBoundsTokensAndEvictsTheOldestFirst) {
+  const Dataset bootstrap = MakeBootstrap(4, 2);
+  std::string error;
+  auto memory = DurableCatalog::Open(DurabilityOptions{}, &bootstrap, &error);
+  ASSERT_NE(memory, nullptr) << error;
+  constexpr uint64_t kTokens = DurableCatalog::kMaxAppliedTokens;
+  for (uint64_t token = 1; token <= kTokens; ++token) {
+    ASSERT_TRUE(memory->Publish({Vec{0.5, 0.5}}, {}, token, 1).ok);
+  }
+  // Token 1 publishing again replaces its record but stays the oldest.
+  ASSERT_TRUE(memory->Publish({Vec{0.5, 0.5}}, {}, 1, 2).ok);
+  EXPECT_TRUE(memory->LookupPublish(1, 2).has_value());
+  EXPECT_FALSE(memory->LookupPublish(1, 1).has_value());
+
+  // One token too many: token 1 goes, everything younger stays.
+  ASSERT_TRUE(memory->Publish({Vec{0.5, 0.5}}, {}, kTokens + 1, 1).ok);
+  EXPECT_FALSE(memory->LookupPublish(1, 2).has_value());
+  for (uint64_t token = 2; token <= kTokens + 1; ++token) {
+    EXPECT_TRUE(memory->LookupPublish(token, 1).has_value()) << token;
+  }
+  // The next eviction takes token 2, now the oldest.
+  ASSERT_TRUE(memory->Publish({Vec{0.5, 0.5}}, {}, kTokens + 2, 1).ok);
+  EXPECT_FALSE(memory->LookupPublish(2, 1).has_value());
+  EXPECT_TRUE(memory->LookupPublish(3, 1).has_value());
 }
 
 #ifndef TOPRR_TSAN
@@ -270,6 +388,11 @@ bool WriteAll(int fd, const void* data, size_t len) {
   }
   return true;
 }
+
+// The child's publish i carries idempotency token kCrashTokenBase + i:
+// one token per publish (500 stay under the table's 1024-token bound),
+// so every acked publish keeps its own record in the dedupe table.
+constexpr uint64_t kCrashTokenBase = 9000;
 
 // The child side: durable churn, one 24-byte ack per successful publish.
 // Exits only via _exit (no gtest, no destructors) -- it is going to be
@@ -302,7 +425,7 @@ void CrashChildMain(const std::string& dir, int ack_fd) {
       own_rows.erase(own_rows.begin());
     }
     const auto outcome =
-        durable->Publish(inserts, deletes, /*token=*/9, /*publish_id=*/i);
+        durable->Publish(inserts, deletes, kCrashTokenBase + i, i);
     if (!outcome.ok) _exit(3);
     const uint64_t ack[3] = {outcome.snapshot->seq(), outcome.snapshot->id(),
                              i};
@@ -381,25 +504,27 @@ TEST(CrashRecoveryTest, SigkillMidChurnLosesNoAckedPublish) {
   }
   EXPECT_GE(recovery.snapshot_seq, last_acked_seq);
 
-  // ...and zero duplicate applies / bit-identical ids: every acked
-  // publish appears in the recovered dedupe table exactly once, with
-  // exactly the snapshot id the child was acked.
-  std::map<uint64_t, const AppliedPublishRecord*> by_publish_id;
-  for (const AppliedPublishRecord& entry : durable->recovered_publishes()) {
-    EXPECT_EQ(entry.token, 9u);
-    const bool inserted =
-        by_publish_id.emplace(entry.publish_id, &entry).second;
-    EXPECT_TRUE(inserted) << "publish " << entry.publish_id
-                          << " applied twice";
-  }
+  // ...with bit-identical ids: every acked publish is in the recovered
+  // dedupe table under its own token, with exactly the seq and snapshot
+  // id the child was acked...
   for (const AckedPublish& ack : acked) {
-    const auto it = by_publish_id.find(ack.publish_id);
-    ASSERT_NE(it, by_publish_id.end())
+    const std::optional<AppliedPublishRecord> entry = durable->LookupPublish(
+        kCrashTokenBase + ack.publish_id, ack.publish_id);
+    ASSERT_TRUE(entry.has_value())
         << "acked publish " << ack.publish_id << " lost after kill -9";
-    EXPECT_EQ(it->second->snapshot_seq, ack.seq);
-    EXPECT_EQ(it->second->snapshot_id, ack.id)
+    EXPECT_EQ(entry->snapshot_seq, ack.seq);
+    EXPECT_EQ(entry->snapshot_id, ack.id)
         << "recovered snapshot id for publish " << ack.publish_id
         << " is not bit-identical to the acked one";
+  }
+  // ...and zero duplicate applies: the recovered chain is publishes
+  // 1..n in order, publish p producing seq p + 1 on the seq-1 root.
+  for (uint64_t p = 1; p < recovery.snapshot_seq; ++p) {
+    const std::optional<AppliedPublishRecord> entry =
+        durable->LookupPublish(kCrashTokenBase + p, p);
+    ASSERT_TRUE(entry.has_value()) << "publish " << p << " missing";
+    EXPECT_EQ(entry->snapshot_seq, p + 1)
+        << "publish " << p << " applied twice or out of order";
   }
 }
 

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -339,10 +340,13 @@ TEST(DurableCatalogTest, FreshDirBootstrapsThenRecoversWithDedupe) {
     EXPECT_EQ(durable->recovery().replayed_records, 4u);
     EXPECT_EQ(durable->recovery().snapshot_id, head_id);
     EXPECT_EQ(durable->recovery().snapshot_seq, head_seq);
-    ASSERT_EQ(durable->recovered_publishes().size(), 4u);
-    EXPECT_EQ(durable->recovered_publishes()[3].token, 77u);
-    EXPECT_EQ(durable->recovered_publishes()[3].publish_id, 4u);
-    EXPECT_EQ(durable->recovered_publishes()[3].snapshot_id, head_id);
+    // One token: the table keeps its latest publish only.
+    const std::optional<AppliedPublishRecord> applied =
+        durable->LookupPublish(77, 4);
+    ASSERT_TRUE(applied.has_value());
+    EXPECT_EQ(applied->snapshot_id, head_id);
+    EXPECT_EQ(applied->snapshot_seq, head_seq);
+    EXPECT_FALSE(durable->LookupPublish(77, 3).has_value());
   }
   {
     // Third generation: the replayed dedupe table was persisted into the
@@ -353,8 +357,11 @@ TEST(DurableCatalogTest, FreshDirBootstrapsThenRecoversWithDedupe) {
     EXPECT_TRUE(durable->recovery().recovered);
     EXPECT_EQ(durable->recovery().replayed_records, 0u);
     EXPECT_EQ(durable->recovery().snapshot_id, head_id);
-    ASSERT_EQ(durable->recovered_publishes().size(), 4u);
-    EXPECT_EQ(durable->recovered_publishes()[0].publish_id, 1u);
+    const std::optional<AppliedPublishRecord> applied =
+        durable->LookupPublish(77, 4);
+    ASSERT_TRUE(applied.has_value());
+    EXPECT_EQ(applied->snapshot_id, head_id);
+    EXPECT_EQ(applied->snapshot_seq, head_seq);
   }
 }
 

@@ -2,7 +2,9 @@
 // survive a full server restart from the same data directory, a
 // reconnecting writer's probe (Publish with the probe flag) is answered
 // from the recovered applied-publish table, and the recovered snapshot
-// id is bit-identical to the one the original server acked. Raw-socket
+// id is bit-identical to the one the original server acked. The
+// in-memory catalog (no data directory) answers probes and retries the
+// same way. Raw-socket
 // probes exercise the wire path the client's ReconnectAndRestore uses.
 // Labeled `serve` through the CMake test glob.
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -46,12 +49,14 @@ Dataset MakeBootstrap(size_t n, size_t d) {
   return data;
 }
 
+// An empty `dir` opens the in-memory catalog.
 std::shared_ptr<DurableCatalog> OpenDurable(const std::string& dir,
-                                            const Dataset& bootstrap) {
+                                            const Dataset& bootstrap,
+                                            uint64_t checkpoint_every = 0) {
   DurabilityOptions options;
   options.data_dir = dir;
   options.fsync_policy = FsyncPolicy::kOff;  // tests exercise logic, not disks
-  options.checkpoint_every = 0;
+  options.checkpoint_every = checkpoint_every;
   std::string error;
   std::shared_ptr<DurableCatalog> durable =
       DurableCatalog::Open(options, &bootstrap, &error);
@@ -81,6 +86,10 @@ class RawWriter {
   void Init(int port) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     ASSERT_GE(fd_, 0);
+    // Frames go out as prefix + payload writes; without NODELAY each
+    // round trip waits out a delayed ACK.
+    const int one = 1;
+    ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_port = htons(static_cast<uint16_t>(port));
@@ -251,6 +260,114 @@ TEST(ServeDurableTest, RestartedServerAcceptsNewPublishes) {
   EXPECT_FALSE(published->already_applied);
   EXPECT_GT(published->snapshot_seq, first_seq);
   EXPECT_EQ(published->live_rows, 42u);
+  server->Stop();
+}
+
+TEST(ServeDurableTest, QuietTokenStaysDedupedAcrossRestartBehindABusyOne) {
+  // Token B publishes once, then token A publishes 1100 times: more
+  // publishes than the idempotency table's 1024 entries, but only two
+  // tokens. A checkpoint lands every 64 publishes, so the restart loads
+  // the table from a checkpoint; B's record must be in it.
+  const std::string dir = MakeTempDir();
+  const Dataset bootstrap = MakeBootstrap(60, 3);
+  constexpr uint64_t kQuiet = 0xB;
+  constexpr uint64_t kBusy = 0xA;
+  constexpr uint64_t kBusyPublishes = 1100;
+  const std::vector<Vec> quiet_delta = {Vec{0.91, 0.92, 0.93}};
+
+  MutationAck quiet;
+  {
+    auto server = StartDurableServer(
+        OpenDurable(dir, bootstrap, /*checkpoint_every=*/64));
+    RawWriter writer(server->port());
+    ASSERT_TRUE(writer.RoundTrip(EncodeStageInsert(quiet_delta)).has_value());
+    auto published = writer.RoundTrip(EncodePublish(kQuiet, 1));
+    ASSERT_TRUE(published.has_value());
+    ASSERT_EQ(published->status, MutationStatus::kOk) << published->message;
+    quiet = *published;
+    for (uint64_t i = 1; i <= kBusyPublishes; ++i) {
+      auto staged = writer.RoundTrip(EncodeStageInsert(
+          {Vec{0.5, 0.5, 0.001 * static_cast<double>(i % 500)}}));
+      ASSERT_TRUE(staged.has_value());
+      ASSERT_EQ(staged->status, MutationStatus::kOk) << staged->message;
+      auto busy = writer.RoundTrip(EncodePublish(kBusy, i));
+      ASSERT_TRUE(busy.has_value());
+      ASSERT_EQ(busy->status, MutationStatus::kOk) << busy->message;
+      ASSERT_FALSE(busy->already_applied);
+    }
+    server->Stop();
+  }
+
+  auto server =
+      StartDurableServer(OpenDurable(dir, bootstrap, /*checkpoint_every=*/64));
+  RawWriter writer(server->port());
+  auto before = writer.RoundTrip(EncodeCatalogInfo());
+  ASSERT_TRUE(before.has_value());
+  EXPECT_EQ(before->live_rows, 60u + 1 + kBusyPublishes);
+
+  auto probe = writer.RoundTrip(EncodePublish(kQuiet, 1, /*probe=*/true));
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_EQ(probe->status, MutationStatus::kOk) << probe->message;
+  EXPECT_TRUE(probe->already_applied);
+  EXPECT_EQ(probe->snapshot_id, quiet.snapshot_id);
+  EXPECT_EQ(probe->snapshot_seq, quiet.snapshot_seq);
+
+  // The lost-ack retry: the writer re-stages B's delta and publishes
+  // the same (token, id) again. It must not apply twice.
+  ASSERT_TRUE(writer.RoundTrip(EncodeStageInsert(quiet_delta)).has_value());
+  auto retried = writer.RoundTrip(EncodePublish(kQuiet, 1));
+  ASSERT_TRUE(retried.has_value());
+  EXPECT_EQ(retried->status, MutationStatus::kOk) << retried->message;
+  EXPECT_TRUE(retried->already_applied);
+  EXPECT_EQ(retried->snapshot_id, quiet.snapshot_id);
+  EXPECT_EQ(retried->staged_inserts, 0u);
+
+  auto after = writer.RoundTrip(EncodeCatalogInfo());
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->snapshot_id, before->snapshot_id);
+  EXPECT_EQ(after->snapshot_seq, before->snapshot_seq);
+  server->Stop();
+}
+
+TEST(ServeDurableTest, InMemoryCatalogAnswersProbesAndRetries) {
+  const Dataset bootstrap = MakeBootstrap(60, 3);
+  constexpr uint64_t kToken = 5150;
+  auto server = StartDurableServer(OpenDurable("", bootstrap));
+  RawWriter writer(server->port());
+
+  auto unknown = writer.RoundTrip(EncodePublish(kToken, 1, /*probe=*/true));
+  ASSERT_TRUE(unknown.has_value());
+  EXPECT_EQ(unknown->status, MutationStatus::kOk) << unknown->message;
+  EXPECT_FALSE(unknown->already_applied);
+  EXPECT_EQ(unknown->snapshot_seq, 1u);
+
+  ASSERT_TRUE(
+      writer.RoundTrip(EncodeStageInsert({Vec{0.9, 0.9, 0.9}})).has_value());
+  auto published = writer.RoundTrip(EncodePublish(kToken, 1));
+  ASSERT_TRUE(published.has_value());
+  ASSERT_EQ(published->status, MutationStatus::kOk) << published->message;
+  EXPECT_FALSE(published->already_applied);
+  EXPECT_EQ(published->live_rows, 61u);
+
+  auto probe = writer.RoundTrip(EncodePublish(kToken, 1, /*probe=*/true));
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_TRUE(probe->already_applied);
+  EXPECT_EQ(probe->snapshot_id, published->snapshot_id);
+
+  ASSERT_TRUE(
+      writer.RoundTrip(EncodeStageInsert({Vec{0.9, 0.9, 0.9}})).has_value());
+  auto retried = writer.RoundTrip(EncodePublish(kToken, 1));
+  ASSERT_TRUE(retried.has_value());
+  EXPECT_TRUE(retried->already_applied);
+  EXPECT_EQ(retried->live_rows, 61u);
+  EXPECT_EQ(retried->staged_inserts, 0u);
+
+  // No durability one-liner: nothing is logged in memory.
+  auto info = writer.RoundTrip(EncodeCatalogInfo());
+  ASSERT_TRUE(info.has_value());
+  EXPECT_TRUE(info->message.empty()) << info->message;
+  EXPECT_EQ(server->stats().Snapshot().publishes_deduped, 1u);
+  EXPECT_EQ(server->stats().Snapshot().wal_appends, 0u);
   server->Stop();
 }
 

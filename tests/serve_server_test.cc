@@ -39,13 +39,21 @@ PrefBox Box(std::initializer_list<double> lo,
   return box;
 }
 
+// An in-memory catalog over `data` (no data_dir: nothing touches disk).
+std::shared_ptr<DurableCatalog> InMemory(const Dataset& data) {
+  std::string error;
+  std::shared_ptr<DurableCatalog> catalog =
+      DurableCatalog::Open(DurabilityOptions{}, &data, &error);
+  EXPECT_NE(catalog, nullptr) << error;
+  return catalog;
+}
+
 // Starts a server on an ephemeral loopback port; fails the test on error.
 std::unique_ptr<ToprrServer> StartServer(const Dataset& data,
                                          ServerConfig config) {
   config.host = "127.0.0.1";
   config.port = 0;
-  auto server = std::make_unique<ToprrServer>(
-      DatasetSnapshot::FromDataset(data), config);
+  auto server = std::make_unique<ToprrServer>(InMemory(data), config);
   std::string error;
   EXPECT_TRUE(server->Start(&error)) << error;
   return server;
@@ -65,7 +73,7 @@ TEST(ServeServerTest, ServedResultsMatchTheEngine) {
   ToprrClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()))
       << client.last_error();
-  auto responses = client.SolveBatch(queries);
+  auto responses = client.QueryBatch(queries);
   ASSERT_TRUE(responses.has_value()) << client.last_error();
   ASSERT_EQ(responses->size(), queries.size());
 
@@ -108,7 +116,7 @@ TEST(ServeServerTest, OverloadedBatchGetsExplicitRejection) {
   }
   ToprrClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
-  auto responses = client.SolveBatch(queries);
+  auto responses = client.QueryBatch(queries);
   ASSERT_TRUE(responses.has_value()) << client.last_error();
   ASSERT_EQ(responses->size(), queries.size());
   for (const ServeResponse& response : *responses) {
@@ -117,7 +125,7 @@ TEST(ServeServerTest, OverloadedBatchGetsExplicitRejection) {
   EXPECT_EQ(server->stats().Snapshot().queries_rejected_overload, 5u);
 
   // A batch that fits is admitted on the same connection afterwards.
-  auto small = client.SolveBatch(
+  auto small = client.QueryBatch(
       {ToprrQuery::FromBox(3, RandomPrefBox(2, 0.02, rng))});
   ASSERT_TRUE(small.has_value()) << client.last_error();
   EXPECT_EQ((*small)[0].status, ServeStatus::kOk);
@@ -137,7 +145,7 @@ TEST(ServeServerTest, BudgetExpiryReturnsBudgetExceeded) {
       10, Box({0.1, 0.1, 0.1}, {0.2, 0.2, 0.2}), options);
   ToprrClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
-  auto responses = client.SolveBatch({query});
+  auto responses = client.QueryBatch({query});
   ASSERT_TRUE(responses.has_value()) << client.last_error();
   ASSERT_EQ(responses->size(), 1u);
   EXPECT_EQ((*responses)[0].status, ServeStatus::kBudgetExceeded);
@@ -157,7 +165,7 @@ TEST(ServeServerTest, ServerClampsRunawayBudgets) {
   ASSERT_EQ(query.options.time_budget_seconds, 0.0);
   ToprrClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
-  auto responses = client.SolveBatch({query});
+  auto responses = client.QueryBatch({query});
   ASSERT_TRUE(responses.has_value()) << client.last_error();
   EXPECT_EQ((*responses)[0].status, ServeStatus::kBudgetExceeded);
 }
@@ -179,7 +187,7 @@ TEST(ServeServerTest, UnsolvableQueriesAnswerMalformed) {
   queries.push_back(
       ToprrQuery::FromBox(3, Box({0.1, 0.1, 0.1}, {0.2, 0.2, 0.2})));
   queries.push_back(ToprrQuery::FromBox(3, Box({0.1, 0.1}, {0.2, 0.2})));
-  auto responses = client.SolveBatch(queries);
+  auto responses = client.QueryBatch(queries);
   ASSERT_TRUE(responses.has_value()) << client.last_error();
   ASSERT_EQ(responses->size(), 4u);
   EXPECT_EQ((*responses)[0].status, ServeStatus::kMalformed);
@@ -224,7 +232,7 @@ TEST(ServeServerTest, UndecodableFrameGetsMalformedMarkerAndSyncHolds) {
   EXPECT_GE(server->stats().Snapshot().protocol_errors, 1u);
 
   // The server keeps serving well-formed clients.
-  auto ok = good.SolveBatch(
+  auto ok = good.QueryBatch(
       {ToprrQuery::FromBox(3, Box({0.1, 0.1}, {0.2, 0.2}))});
   ASSERT_TRUE(ok.has_value()) << good.last_error();
   EXPECT_EQ((*ok)[0].status, ServeStatus::kOk);
@@ -245,7 +253,7 @@ TEST(ServeServerTest, CacheEnabledServerHitsOnRepeatedQueries) {
   std::vector<ToprrQuery> queries(4, ToprrQuery::FromBox(5, box));
   ToprrClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
-  auto responses = client.SolveBatch(queries);
+  auto responses = client.QueryBatch(queries);
   ASSERT_TRUE(responses.has_value()) << client.last_error();
   ASSERT_EQ(responses->size(), 4u);
 
@@ -296,7 +304,7 @@ TEST(ServeServerTest, StopCancelsInFlightWork) {
   std::thread rpc([&client] {
     // The reply may be a kShutdown response or a dropped connection,
     // depending on timing; both are acceptable shutdown behavior.
-    client.SolveBatch({ToprrQuery::FromBox(
+    client.QueryBatch({ToprrQuery::FromBox(
         10, Box({0.05, 0.05, 0.05}, {0.45, 0.45, 0.45}))});
   });
   // Give the query time to reach the solver.
@@ -330,7 +338,7 @@ TEST(ServeServerTest, StopWhileCacheHotNeitherDeadlocksNorLeaks) {
     while (!done.load(std::memory_order_acquire)) {
       // Failures are expected once shutdown begins; just keep the
       // cache-hit path busy until then.
-      if (!client.SolveBatch({ToprrQuery::FromBox(3, hot)}).has_value()) {
+      if (!client.QueryBatch({ToprrQuery::FromBox(3, hot)}).has_value()) {
         return;
       }
     }
@@ -338,7 +346,7 @@ TEST(ServeServerTest, StopWhileCacheHotNeitherDeadlocksNorLeaks) {
   std::thread slow_rpc([&server] {
     ToprrClient client;
     if (!client.Connect("127.0.0.1", server->port())) return;
-    client.SolveBatch({ToprrQuery::FromBox(
+    client.QueryBatch({ToprrQuery::FromBox(
         10, Box({0.05, 0.05, 0.05}, {0.45, 0.45, 0.45}))});
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -355,12 +363,12 @@ TEST(ServeServerTest, ClientSurvivesServerGoingAway) {
   auto server = StartServer(data, ServerConfig{});
   ToprrClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
-  auto first = client.SolveBatch(
+  auto first = client.QueryBatch(
       {ToprrQuery::FromBox(3, Box({0.1, 0.1}, {0.2, 0.2}))});
   ASSERT_TRUE(first.has_value());
   server->Stop();
   // The next RPC must fail cleanly (error string, no hang, no crash).
-  auto second = client.SolveBatch(
+  auto second = client.QueryBatch(
       {ToprrQuery::FromBox(3, Box({0.1, 0.1}, {0.2, 0.2}))});
   EXPECT_FALSE(second.has_value());
   EXPECT_FALSE(client.last_error().empty());
@@ -383,7 +391,7 @@ TEST(ServeServerTest, ConcurrentConnectionsAllComplete) {
       if (!client.Connect("127.0.0.1", server->port())) return;
       Rng rng(100 + c);
       for (int r = 0; r < kRpcsPerClient; ++r) {
-        auto responses = client.SolveBatch(
+        auto responses = client.QueryBatch(
             {ToprrQuery::FromBox(4, RandomPrefBox(2, 0.02, rng))});
         if (responses.has_value() &&
             (*responses)[0].status == ServeStatus::kOk) {
@@ -396,52 +404,6 @@ TEST(ServeServerTest, ConcurrentConnectionsAllComplete) {
   EXPECT_EQ(completed.load(), kClients * kRpcsPerClient);
   EXPECT_EQ(server->stats().Snapshot().connections_accepted,
             static_cast<uint64_t>(kClients));
-}
-
-TEST(ServeServerTest, CatalogPublishBecomesVisibleAfterSync) {
-  // The live-catalog constructor: publish + SyncCatalog moves traffic to
-  // the new snapshot without restarting the server or quiescing clients.
-  const Dataset data =
-      GenerateSynthetic(800, 3, Distribution::kIndependent, 60);
-  auto catalog = std::make_shared<MutableCatalog>(data);
-  ServerConfig config;
-  config.host = "127.0.0.1";
-  config.port = 0;
-  auto server = std::make_unique<ToprrServer>(catalog, config);
-  std::string error;
-  ASSERT_TRUE(server->Start(&error)) << error;
-
-  ToprrClient client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()))
-      << client.last_error();
-  const ToprrQuery query =
-      ToprrQuery::FromBox(3, Box({0.2, 0.2}, {0.25, 0.25}));
-  auto before = client.SolveBatch({query});
-  ASSERT_TRUE(before.has_value());
-  ASSERT_EQ((*before)[0].status, ServeStatus::kOk);
-
-  // A dominating row changes the answer; before Sync the server still
-  // serves the pinned old version, after Sync the new one.
-  catalog->StageInsert(Vec{0.99, 0.99, 0.99});
-  const SnapshotPtr v2 = catalog->Publish();
-  auto unsynced = client.SolveBatch({query});
-  ASSERT_TRUE(unsynced.has_value());
-  EXPECT_EQ((*unsynced)[0].impact_halfspaces.size(),
-            (*before)[0].impact_halfspaces.size());
-
-  EXPECT_EQ(server->SyncCatalog(), v2->id());
-  auto after = client.SolveBatch({query});
-  ASSERT_TRUE(after.has_value());
-  ASSERT_EQ((*after)[0].status, ServeStatus::kOk);
-  ToprrEngine reference(v2);
-  const ToprrResult expected = reference.Solve(query);
-  ASSERT_EQ((*after)[0].impact_halfspaces.size(),
-            expected.impact_halfspaces.size());
-  for (size_t h = 0; h < expected.impact_halfspaces.size(); ++h) {
-    EXPECT_EQ((*after)[0].impact_halfspaces[h].offset,
-              expected.impact_halfspaces[h].offset);
-  }
-  server->Stop();
 }
 
 TEST(ServeServerTest, HandshakeAdvertisesLimitsAndServedSnapshot) {
@@ -481,7 +443,7 @@ TEST(ServeServerTest, WireMutationsPublishAndBecomeVisible) {
   EXPECT_EQ(before->snapshot_seq, 1u);
 
   // Stage a dominating row and publish: the ack must already reflect the
-  // new version (SyncCatalog runs before the ack goes out).
+  // new version (the engine is moved onto it before the ack goes out).
   auto staged = client.StageInsert({Vec{0.99, 0.99, 0.99}});
   ASSERT_TRUE(staged.has_value()) << client.last_error();
   ASSERT_EQ(staged->status, MutationStatus::kOk) << staged->message;
@@ -1011,8 +973,7 @@ TEST(ServeServerTest, RetryingClientSurvivesServerRestart) {
   ServerConfig config;
   config.host = "127.0.0.1";
   config.port = port;
-  auto second = std::make_unique<ToprrServer>(
-      DatasetSnapshot::FromDataset(data), config);
+  auto second = std::make_unique<ToprrServer>(InMemory(data), config);
   std::string error;
   ASSERT_TRUE(second->Start(&error)) << error;
 
@@ -1044,8 +1005,7 @@ TEST(ServeServerTest, RetryingClientRestoresStagedDeltaAcrossReconnect) {
   ServerConfig config;
   config.host = "127.0.0.1";
   config.port = port;
-  auto second = std::make_unique<ToprrServer>(
-      DatasetSnapshot::FromDataset(data), config);
+  auto second = std::make_unique<ToprrServer>(InMemory(data), config);
   std::string error;
   ASSERT_TRUE(second->Start(&error)) << error;
 
@@ -1162,7 +1122,7 @@ TEST(ServeServerTest, AcceptSurvivesFdExhaustion) {
     ServerConfig config;
     config.host = "127.0.0.1";
     config.port = 0;
-    ToprrServer server(DatasetSnapshot::FromDataset(data), config);
+    ToprrServer server(InMemory(data), config);
     std::string error;
     if (!server.Start(&error)) ::_exit(2);
     ToprrClient existing;
