@@ -37,10 +37,12 @@ int main(int argc, char** argv) {
   auto catalog = std::make_shared<MutableCatalog>(GenerateSynthetic(
       static_cast<size_t>(n), 3, Distribution::kIndependent, 42));
 
-  // Reader side: the engine adopts the current version; production
-  // solver toggles come from the preset rather than hand-set flags.
+  // Reader side: the engine adopts the current version and solves with
+  // the production defaults, opted in to the region cache (used only
+  // once an engine enables one).
   ToprrEngine engine(catalog->Current());
-  const ToprrOptions options = EngineConfig::Production();
+  ToprrOptions options;
+  options.use_region_cache = true;
 
   PrefBox clientele;
   clientele.lo = Vec{0.2, 0.2};

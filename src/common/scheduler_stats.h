@@ -31,8 +31,7 @@ struct SchedulerWorkerStats {
   // Flat-geometry telemetry (pref/flat_region.h), copied from the
   // worker's GeomArena at merge time with the same determinism contract:
   // totals are pure functions of the region tree, the per-worker
-  // breakdown is timing-dependent. Both stay zero on the legacy
-  // (use_flat_geometry = false) path.
+  // breakdown is timing-dependent.
   uint64_t split_vertices_classified = 0;  // vertices swept by flat splits
   uint64_t geom_arena_allocations = 0;     // geometry scratch growth events
 };

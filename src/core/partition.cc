@@ -16,10 +16,9 @@
 namespace toprr {
 namespace {
 
-// A view over the first `size` pooled profiles of a ScoreArena (or a
-// plain local vector on the naive path). The arena's profile pool never
-// shrinks, so the region's vertex count is carried here instead of in
-// the container's size.
+// A view over the first `size` pooled profiles of a ScoreArena. The
+// arena's profile pool never shrinks, so the region's vertex count is
+// carried here instead of in the container's size.
 struct ProfileSpan {
   TopkResult* data = nullptr;
   size_t count = 0;
@@ -30,27 +29,20 @@ struct ProfileSpan {
   TopkResult* end() const { return data + count; }
 };
 
-// Per-vertex top-k profiles for a region: the kernel path gathers the
-// candidate pool into the arena's SoA block once and sweeps the task's
-// flat vertex buffer in place (reusing rows memoized by the parent
-// split, if any); the naive path is the reference per-vertex scan it
-// must match bit for bit.
+// Per-vertex top-k profiles for a region: gathers the candidate pool
+// into the arena's SoA block once and sweeps the task's flat vertex
+// buffer in place, reusing rows memoized by the parent split, if any.
+// Bit-identical to a per-vertex ComputeTopKReduced scan (see
+// topk/score_kernel.h).
 void ComputeProfiles(const DatasetView& data, const RegionTask& work,
-                     ScoreKernel* kernel, const ProfileSpan& profiles) {
+                     ScoreKernel& kernel, const ProfileSpan& profiles) {
   const FlatRegion& region = work.region;
   const size_t num_vertices = region.num_vertices();
-  if (kernel != nullptr) {
-    kernel->LoadBlock(data, work.candidates);
-    kernel->ScoreVertices(region.coords().data(), num_vertices,
-                          work.parent_scores.get());
-    for (size_t v = 0; v < num_vertices; ++v) {
-      kernel->TopKInto(v, work.k, profiles[v]);
-    }
-  } else {
-    for (size_t v = 0; v < num_vertices; ++v) {
-      profiles[v] = ComputeTopKReduced(data, work.candidates,
-                                       region.VertexVec(v), work.k);
-    }
+  kernel.LoadBlock(data, work.candidates);
+  kernel.ScoreVertices(region.coords().data(), num_vertices,
+                       work.parent_scores.get());
+  for (size_t v = 0; v < num_vertices; ++v) {
+    kernel.TopKInto(v, work.k, profiles[v]);
   }
 }
 
@@ -116,31 +108,20 @@ using SplitPair = std::pair<int, int>;
 
 // k-switch hyperplane selection (Definition 4) for a Case-1 violation
 // between vertices va and vb. Returns (-1, -1) when LC is empty for both
-// orientations. With a live kernel the vertex scores are read from its
-// scored buffer (bit-identical to rescoring, see topk/score_kernel.h);
-// without one they are recomputed from the flat vertex buffer.
-SplitPair KSwitchPair(const DatasetView& data, const FlatRegion& region,
-                      const ProfileSpan& profiles, const ScoreKernel* kernel,
+// orientations. The vertex scores are read from the kernel's scored
+// buffer (bit-identical to rescoring, see topk/score_kernel.h).
+SplitPair KSwitchPair(const ProfileSpan& profiles, const ScoreKernel& kernel,
                       size_t va, size_t vb) {
-  const size_t m = region.dim();
   const auto attempt = [&](size_t a, size_t b) -> SplitPair {
-    const double* xa = region.vertex(a);
     const int pz1 = profiles[a].KthId();
-    const double pz1_at_a = kernel != nullptr
-                                ? kernel->ScoreOf(a, pz1)
-                                : ReducedScore(data.Row(pz1), xa, m);
-    const double pz1_at_b =
-        kernel != nullptr
-            ? kernel->ScoreOf(b, pz1)
-            : ReducedScore(data.Row(pz1), region.vertex(b), m);
+    const double pz1_at_a = kernel.ScoreOf(a, pz1);
+    const double pz1_at_b = kernel.ScoreOf(b, pz1);
     int best = -1;
     double best_gap = 0.0;
     for (const ScoredOption& entry : profiles[b].entries) {
       const int p = entry.id;
       if (p == pz1) continue;
-      const double p_at_a = kernel != nullptr
-                                ? kernel->ScoreOf(a, p)
-                                : ReducedScore(data.Row(p), xa, m);
+      const double p_at_a = kernel.ScoreOf(a, p);
       const double p_at_b = entry.score;
       if (p_at_a < pz1_at_a && p_at_b > pz1_at_b) {
         const double gap = pz1_at_a - p_at_a;
@@ -164,10 +145,10 @@ SplitPair KSwitchPair(const DatasetView& data, const FlatRegion& region,
 // under numeric ties. `salt` drives the pseudo-random pair choice of the
 // non-k-switch strategy (the paper's TAS picks a violating pair at
 // random; we use a deterministic per-region hash for reproducibility).
-std::vector<SplitPair> ChooseSplitPairs(
-    const DatasetView& data, const FlatRegion& region,
-    const ProfileSpan& profiles, const ScoreKernel* kernel,
-    const PartitionConfig& config, uint64_t salt) {
+std::vector<SplitPair> ChooseSplitPairs(const ProfileSpan& profiles,
+                                        const ScoreKernel& kernel,
+                                        const PartitionConfig& config,
+                                        uint64_t salt) {
   std::vector<SplitPair> pairs;
   const size_t nv = profiles.size();
   const auto push_unique = [&pairs](int a, int b) {
@@ -217,8 +198,7 @@ std::vector<SplitPair> ChooseSplitPairs(
 
   if (va < nv) {
     if (config.use_kswitch) {
-      const SplitPair ks =
-          KSwitchPair(data, region, profiles, kernel, va, vb);
+      const SplitPair ks = KSwitchPair(profiles, kernel, va, vb);
       if (ks.second >= 0) push_unique(ks.first, ks.second);
     }
     // Plain Case-1 pairs: options in one set but not the other, tried in
@@ -344,8 +324,8 @@ void FillAcceptPayload(const DatasetView& data, const PartitionConfig& config,
 
 RegionOutcome TestAndSplitRegion(const DatasetView& data,
                                  const PartitionConfig& config,
-                                 RegionTask work, ScoreArena* arena,
-                                 GeomArena* geom_arena) {
+                                 RegionTask work, ScoreArena& arena,
+                                 GeomArena& geom_arena) {
   RegionOutcome out;
   if (GlobalLogLevel() == LogLevel::kDebug) {
     LOG(DEBUG) << "region " << work.id << ": |V|="
@@ -354,29 +334,11 @@ RegionOutcome TestAndSplitRegion(const DatasetView& data,
                << work.candidates.size() << " k=" << work.k;
   }
 
-  // Scratch arenas: the scheduler passes its worker's; direct callers
-  // fall back to call-local ones (correct, just without cross-region
-  // buffer reuse).
-  ScoreArena local_arena;
-  ScoreArena& scratch = arena != nullptr ? *arena : local_arena;
-  GeomArena local_geom_arena;
-  GeomArena& geom_scratch =
-      geom_arena != nullptr ? *geom_arena : local_geom_arena;
-  std::optional<ScoreKernel> kernel;
-  std::vector<TopkResult> naive_profiles;
-  ProfileSpan profiles;
+  ScoreKernel kernel(arena);
   const size_t num_vertices = work.region.num_vertices();
-  if (config.use_score_kernel) {
-    kernel.emplace(scratch);
-    profiles = ProfileSpan{scratch.Profiles(num_vertices).data(),
-                           num_vertices};
-  } else {
-    naive_profiles.resize(num_vertices);
-    profiles = ProfileSpan{naive_profiles.data(), num_vertices};
-  }
-  ScoreKernel* kernel_ptr = kernel.has_value() ? &*kernel : nullptr;
-
-  ComputeProfiles(data, work, kernel_ptr, profiles);
+  const ProfileSpan profiles{arena.Profiles(num_vertices).data(),
+                             num_vertices};
+  ComputeProfiles(data, work, kernel, profiles);
   if (config.use_lemma5 && ApplyLemma5(profiles, work) > 0) {
     out.lemma5_pruned = true;
   }
@@ -429,30 +391,15 @@ RegionOutcome TestAndSplitRegion(const DatasetView& data,
   // guarantees one exists up to numeric ties). The pseudo-random pair
   // rotation is salted with the task's tree id, which is independent of
   // execution order (see core/scheduler.h).
-  std::vector<SplitPair> pairs = ChooseSplitPairs(
-      data, work.region, profiles, kernel_ptr, config, work.id);
+  std::vector<SplitPair> pairs =
+      ChooseSplitPairs(profiles, kernel, config, work.id);
   // Splitting runs through the flat-geometry engine (fused classify
-  // sweep, arena scratch) unless the legacy baseline was requested, in
-  // which case the region round-trips through PrefRegion::Split -- the
-  // conversions are exact, so the toggle changes performance only
-  // (asserted by flat_geometry_test).
+  // sweep, arena scratch; bit-identical to PrefRegion::Split, see
+  // pref/flat_region.h).
   std::optional<FlatRegion> below;
   std::optional<FlatRegion> above;
   const auto try_split = [&](const Hyperplane& plane) {
-    if (config.use_flat_geometry) {
-      work.region.Split(plane, config.eps, geom_scratch, &below, &above);
-    } else {
-      below.reset();
-      above.reset();
-      PrefRegionSplit split =
-          work.region.ToRegion().Split(plane, config.eps);
-      if (split.below.has_value()) {
-        below = FlatRegion::FromRegion(*split.below);
-      }
-      if (split.above.has_value()) {
-        above = FlatRegion::FromRegion(*split.above);
-      }
-    }
+    work.region.Split(plane, config.eps, geom_arena, &below, &above);
     return below.has_value() && above.has_value();
   };
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -472,11 +419,9 @@ RegionOutcome TestAndSplitRegion(const DatasetView& data,
         // their pool at profile time is exactly work.candidates, so a
         // child vertex inherited from this region costs a row copy
         // instead of a rescore.
-        std::shared_ptr<const VertexScoreCache> cache;
-        if (kernel.has_value()) {
-          cache = kernel->MakeCache(work.region.coords().data(),
-                                    num_vertices, work.candidates);
-        }
+        std::shared_ptr<const VertexScoreCache> cache =
+            kernel.MakeCache(work.region.coords().data(), num_vertices,
+                             work.candidates);
         out.below = RegionTask{2 * work.id, std::move(*below),
                                work.candidates, work.k, work.pruned, cache};
         out.above =

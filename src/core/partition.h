@@ -44,20 +44,6 @@ struct PartitionConfig {
   /// 0 = one worker per hardware thread, n > 1 = n workers. Both
   /// executors produce bit-identical output (see core/scheduler.h).
   int num_threads = 1;
-  /// Score the per-vertex top-k profiles through the SoA scoring kernel
-  /// (topk/score_kernel.h): blocked candidate sweeps, per-worker scratch
-  /// arenas, and parent-to-child vertex-score reuse. Output is
-  /// bit-identical to the naive per-vertex path (asserted by
-  /// score_kernel_test); the toggle exists for that regression test and
-  /// for the naive baseline of bench_score_kernel.
-  bool use_score_kernel = true;
-  /// Split regions through the flat-geometry engine
-  /// (pref/flat_region.h): fused classification sweeps over the
-  /// contiguous vertex buffer, packed-key dedup, and per-worker GeomArena
-  /// scratch. Output is bit-identical to the legacy PrefRegion::Split
-  /// path (asserted by flat_geometry_test); the toggle exists for that
-  /// regression test and for the legacy baseline of bench_region_split.
-  bool use_flat_geometry = true;
   /// Also accumulate the union of top-k option ids over all accepted
   /// regions (the exact UTK option filter, Sec. 6.3 choice (iv)).
   bool collect_topk_union = false;

@@ -45,8 +45,8 @@ void AssembleResultRegion(const DatasetView& data,
   // Impact halfspace per vertex: S_w(o) >= TopK(w)  <=>  (-w).o <= -TopK.
   // Vall can hold thousands of vertices over one shared candidate pool,
   // so the top-k-th scores come from the SoA scoring kernel in chunked
-  // sweeps (bit-identical to the naive scan; chunking keeps the score
-  // matrix small) unless the naive path was requested.
+  // sweeps (bit-identical to a per-vertex ComputeTopKReduced scan;
+  // chunking keeps the score matrix small).
   constexpr size_t kChunk = 64;
   ScoreArena arena;
   ScoreKernel kernel(arena);
@@ -54,22 +54,15 @@ void AssembleResultRegion(const DatasetView& data,
   TopkResult chunk_topk;
   std::vector<double> kth_scores;
   kth_scores.reserve(vall_unique.size());
-  if (options.use_score_kernel) {
-    kernel.LoadBlock(data, candidates);
-    for (size_t begin = 0; begin < vall_unique.size(); begin += kChunk) {
-      const size_t end = std::min(begin + kChunk, vall_unique.size());
-      chunk_vertices.assign(vall_unique.begin() + begin,
-                            vall_unique.begin() + end);
-      kernel.ScoreVertices(chunk_vertices, nullptr);
-      for (size_t v = 0; v < chunk_vertices.size(); ++v) {
-        kernel.TopKInto(v, k, chunk_topk);
-        kth_scores.push_back(chunk_topk.KthScore());
-      }
-    }
-  } else {
-    for (const Vec& x : vall_unique) {
-      kth_scores.push_back(
-          ComputeTopKReduced(data, candidates, x, k).KthScore());
+  kernel.LoadBlock(data, candidates);
+  for (size_t begin = 0; begin < vall_unique.size(); begin += kChunk) {
+    const size_t end = std::min(begin + kChunk, vall_unique.size());
+    chunk_vertices.assign(vall_unique.begin() + begin,
+                          vall_unique.begin() + end);
+    kernel.ScoreVertices(chunk_vertices, nullptr);
+    for (size_t v = 0; v < chunk_vertices.size(); ++v) {
+      kernel.TopKInto(v, k, chunk_topk);
+      kth_scores.push_back(chunk_topk.KthScore());
     }
   }
 

@@ -252,7 +252,7 @@ void DrainStealing(const DatasetView& data, const PartitionConfig& config,
 
     const uint64_t id = task->id;
     RegionOutcome outcome = TestAndSplitRegion(
-        data, config, std::move(*task), &self.arena, &self.geom_arena);
+        data, config, std::move(*task), self.arena, self.geom_arena);
     delete task;
 
     ++self.tally.regions_tested;
@@ -359,8 +359,8 @@ PartitionOutput PartitionScheduler::RunSequential(
     const uint64_t id = task.id;
 
     RegionOutcome outcome = TestAndSplitRegion(data_, config_,
-                                               std::move(task), &arena,
-                                               &geom_arena);
+                                               std::move(task), arena,
+                                               geom_arena);
     TallyOutcome(outcome, tally);
     if (outcome.accepted) {
       accepted.push_back(AcceptedNode{id, std::move(outcome)});

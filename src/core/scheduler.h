@@ -67,9 +67,9 @@ struct RegionTask {
   std::vector<int> pruned;
   /// Parent-to-child score memoization (topk/score_kernel.h): the split
   /// parent's vertex-score rows over exactly this task's candidate pool,
-  /// shared read-only by both children. Null at the root and on the
-  /// naive (use_score_kernel = false) path; purely a performance carrier,
-  /// never observable in the output.
+  /// shared read-only by both children. Null at the root and at
+  /// frontier roots resumed by the region cache; purely a performance
+  /// carrier, never observable in the output.
   std::shared_ptr<const VertexScoreCache> parent_scores;
 };
 
@@ -98,14 +98,12 @@ struct RegionOutcome {
 /// (data, config, task), making it safe to call concurrently for
 /// distinct tasks with distinct arenas. `arena` is the calling worker's
 /// scratch state for the scoring kernel and `geom_arena` its flat-split
-/// scratch (counters accumulate in both); a null arena falls back to a
-/// call-local one. Implemented in partition.cc next to the algorithmic
-/// helpers it uses.
+/// scratch (counters accumulate in both). Implemented in partition.cc
+/// next to the algorithmic helpers it uses.
 RegionOutcome TestAndSplitRegion(const DatasetView& data,
                                  const PartitionConfig& config,
-                                 RegionTask task,
-                                 ScoreArena* arena = nullptr,
-                                 GeomArena* geom_arena = nullptr);
+                                 RegionTask task, ScoreArena& arena,
+                                 GeomArena& geom_arena);
 
 /// Drives TestAndSplitRegion over the region tree rooted at a task.
 /// config.num_threads selects the executor: 1 runs the sequential

@@ -28,20 +28,6 @@ const char* ToprrMethodName(ToprrMethod method) {
   return "?";
 }
 
-ToprrOptions EngineConfig::Production() {
-  ToprrOptions options;  // the defaults are the production fast paths
-  options.use_region_cache = true;
-  return options;
-}
-
-ToprrOptions EngineConfig::LegacyReference() {
-  ToprrOptions options;
-  options.use_score_kernel = false;
-  options.use_flat_geometry = false;
-  options.use_region_cache = false;
-  return options;
-}
-
 std::string ToprrStats::DebugString() const {
   std::ostringstream out;
   out << "|D'|=" << candidates_after_filter
@@ -79,8 +65,6 @@ PartitionConfig PartitionConfigFromOptions(const ToprrOptions& options) {
   config.max_regions = options.max_regions;
   config.num_threads = options.num_threads;
   config.collect_scheduler_stats = options.collect_scheduler_stats;
-  config.use_score_kernel = options.use_score_kernel;
-  config.use_flat_geometry = options.use_flat_geometry;
   switch (options.method) {
     case ToprrMethod::kPac:
       config.ordered_invariance = true;

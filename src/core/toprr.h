@@ -94,31 +94,6 @@ struct ToprrOptions {
   /// `toprr_cli --stats`).
   bool collect_scheduler_stats = true;
 
-  // -------------------------------------------------------------------
-  // Engine-path toggles. DEPRECATED as individually assembled knobs: new
-  // call sites should start from EngineConfig::Production() or
-  // EngineConfig::LegacyReference() (below) instead of hand-picking
-  // combinations -- only those two combinations are continuously tested
-  // end to end. The raw fields keep working for one release and then
-  // become internal.
-  // -------------------------------------------------------------------
-
-  /// Score the partition phase through the SoA scoring kernel
-  /// (topk/score_kernel.h): blocked candidate sweeps from 64-byte-aligned
-  /// dim-major blocks, per-worker scratch arenas, parent-to-child
-  /// vertex-score reuse. Bit-identical to the naive per-vertex scan
-  /// (asserted by score_kernel_test); off only for that regression test
-  /// and the naive baselines of bench_score_kernel.
-  bool use_score_kernel = true;
-
-  /// Split regions through the flat-geometry engine (pref/flat_region.h):
-  /// SoA polytope storage, fused classification sweeps, packed-key vertex
-  /// dedup, per-worker GeomArena scratch. Bit-identical to the legacy
-  /// PrefRegion::Split path (asserted by flat_geometry_test); off only
-  /// for that regression test and the legacy baselines of
-  /// bench_region_split.
-  bool use_flat_geometry = true;
-
   /// Serve box queries through the engine's cross-query region cache
   /// (core/region_cache.h) when one is enabled via
   /// ToprrEngine::EnableRegionCache: solved canonical boxes are reused by
@@ -127,24 +102,6 @@ struct ToprrOptions {
   /// Cache-hit results are bit-identical to what the same engine returns
   /// with the flag off (see region_cache_test).
   bool use_region_cache = false;
-};
-
-/// Named option presets -- the two toggle combinations that are tested
-/// end to end. Prefer these over hand-assembling the deprecated
-/// ToprrOptions engine toggles above.
-struct EngineConfig {
-  /// Production serving defaults: TAS* with every optimization lemma,
-  /// the SoA scoring kernel, flat-geometry splits, and region-cache
-  /// opt-in (a solve still only uses the cache when the engine has one
-  /// enabled). What toprr_serve runs.
-  static ToprrOptions Production();
-
-  /// The naive reference paths: per-vertex scoring, legacy
-  /// PrefRegion::Split geometry, no caching. Slower but independently
-  /// simple -- the baseline the bit-identical regression suites
-  /// (score_kernel_test, flat_geometry_test, region_cache_test) diff
-  /// production against.
-  static ToprrOptions LegacyReference();
 };
 
 /// Counters and timings describing one solve.

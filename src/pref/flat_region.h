@@ -27,9 +27,9 @@
 // points in Lerp's operation order, first-insertion-wins dedup at the
 // same quantize tolerance, children assembled in the same vertex and
 // facet order), so its output polytopes equal the legacy ones bit for
-// bit. Asserted region-by-region and through the whole solver by
-// flat_geometry_test; the legacy path stays reachable behind
-// ToprrOptions::use_flat_geometry.
+// bit. Asserted split by split (boxes, degenerate cuts, fuzzed split
+// chains) by flat_geometry_test; bench_region_split times the legacy
+// PrefRegion::Split as its baseline series.
 #ifndef TOPRR_PREF_FLAT_REGION_H_
 #define TOPRR_PREF_FLAT_REGION_H_
 

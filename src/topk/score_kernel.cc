@@ -21,7 +21,7 @@ size_t PaddedStride(size_t n) {
 // One fused sweep of a vertex over the block: for every candidate c the
 // accumulation is base[c], then + x[j] * diff_j[c] for j = 0..M-1 -- the
 // exact operation sequence of ReducedScore, so results are bit-identical
-// to the naive path. The candidate loop's iterations are independent,
+// to the naive scan. The candidate loop's iterations are independent,
 // which lets the compiler vectorize across c (each lane keeps its own
 // sequential accumulation order); the compile-time M unrolls the inner
 // loop so the column pointers stay in registers.

@@ -1,9 +1,11 @@
 // Cache-aware scoring kernel for the partition phase's per-vertex top-k
 // scans (the inner loop of TAS/TAS*/PAC; see core/partition.cc).
 //
-// The naive path scores a region's candidate pool one vertex at a time
-// with an indirect data.Row(id) gather per candidate and a fresh
-// std::vector<ScoredOption> per vertex. This kernel replaces that with:
+// The naive scan (ComputeTopKReduced, topk/topk.h) scores a region's
+// candidate pool one vertex at a time with an indirect data.Row(id)
+// gather per candidate and a fresh std::vector<ScoredOption> per vertex.
+// This kernel, the partition phase's only scoring path, replaces that
+// with:
 //
 //  * a structure-of-arrays candidate block: the pool's rows are gathered
 //    once per region into a dense, 64-byte-aligned dim-major buffer
@@ -25,9 +27,10 @@
 // partial scores in exactly the order of ReducedScore (base p[m], then
 // dimensions 0..m-1), and top-k selection uses the same comparator and
 // partial_sort as ComputeTopKReduced over the same pool order. Kernel
-// output therefore equals the naive path bit for bit, which preserves the
-// scheduler's sequential == parallel determinism guarantee
-// (core/scheduler.h, asserted by scheduler_test and score_kernel_test).
+// output therefore equals the naive scan bit for bit (asserted by
+// score_kernel_test; bench_score_kernel times the naive scan as its
+// baseline series), which preserves the scheduler's sequential ==
+// parallel determinism guarantee (core/scheduler.h, scheduler_test).
 #ifndef TOPRR_TOPK_SCORE_KERNEL_H_
 #define TOPRR_TOPK_SCORE_KERNEL_H_
 

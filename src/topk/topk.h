@@ -21,7 +21,7 @@ struct ScoredOption {
 };
 
 /// The library-wide ranking order: score descending, ties id ascending
-/// (Definition 3's deterministic tie-break). Shared by the naive path and
+/// (Definition 3's deterministic tie-break). Shared by the naive scan and
 /// the SoA scoring kernel (topk/score_kernel.h) so both select identical
 /// top-k sequences.
 inline bool ScoredBetter(const ScoredOption& a, const ScoredOption& b) {

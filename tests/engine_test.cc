@@ -459,28 +459,5 @@ TEST(EngineTest, ConcurrentPublishAndSolveBatchStress) {
   }
 }
 
-TEST(EngineTest, EngineConfigPresets) {
-  const ToprrOptions production = EngineConfig::Production();
-  EXPECT_TRUE(production.use_score_kernel);
-  EXPECT_TRUE(production.use_flat_geometry);
-  EXPECT_TRUE(production.use_region_cache);
-  EXPECT_EQ(production.method, ToprrMethod::kTasStar);
-
-  const ToprrOptions legacy = EngineConfig::LegacyReference();
-  EXPECT_FALSE(legacy.use_score_kernel);
-  EXPECT_FALSE(legacy.use_flat_geometry);
-  EXPECT_FALSE(legacy.use_region_cache);
-
-  // The two presets are bit-identical end to end (the regression suites'
-  // core claim, re-asserted here at the preset level).
-  const Dataset ds = GenerateSynthetic(800, 3, Distribution::kIndependent,
-                                       77);
-  ToprrEngine engine(DatasetSnapshot::FromDataset(ds));
-  Rng rng(78);
-  const PrefBox box = RandomPrefBox(2, 0.03, rng);
-  ExpectSameRegion(engine.Solve(5, box, production),
-                   engine.Solve(5, box, legacy));
-}
-
 }  // namespace
 }  // namespace toprr

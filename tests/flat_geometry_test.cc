@@ -2,10 +2,9 @@
 // (pref/flat_region.h): FlatRegion::Split must equal PrefRegion::Split
 // exactly -- vertices, facet halfspaces, and incident-vertex ids, in the
 // same order -- region by region (boxes, diagonal/on-plane cuts, fuzzed
-// split chains like geometry_property_test's) and through the whole
-// solver (use_flat_geometry on vs off across TAS/TAS*/PAC, dims, and k),
-// plus the GeomArena's steady-state zero-allocation guarantee and the
-// determinism of the new scheduler counters.
+// split chains like geometry_property_test's), plus the GeomArena's
+// steady-state zero-allocation guarantee and the determinism of the
+// flat-split scheduler counters.
 #include "pref/flat_region.h"
 
 #include <gtest/gtest.h>
@@ -188,84 +187,6 @@ TEST(FlatRegionTest, SteadyStateSplitGrowsNoArenaScratch) {
   EXPECT_EQ(arena.counters().geom_arena_allocations, warm)
       << "steady-state flat splits must not grow arena scratch";
   EXPECT_GT(arena.counters().split_vertices_classified, 0u);
-}
-
-// ---- Solver-level regression matrix: flat vs legacy geometry path. ----
-
-void ExpectSameVecs(const std::vector<Vec>& a, const std::vector<Vec>& b,
-                    const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].dim(), b[i].dim()) << what << "[" << i << "]";
-    for (size_t j = 0; j < a[i].dim(); ++j) {
-      EXPECT_EQ(a[i][j], b[i][j]) << what << "[" << i << "][" << j << "]";
-    }
-  }
-}
-
-void ExpectSameHalfspaces(const std::vector<Halfspace>& a,
-                          const std::vector<Halfspace>& b,
-                          const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].offset, b[i].offset) << what << "[" << i << "]";
-    ASSERT_EQ(a[i].normal.dim(), b[i].normal.dim()) << what;
-    for (size_t j = 0; j < a[i].normal.dim(); ++j) {
-      EXPECT_EQ(a[i].normal[j], b[i].normal[j])
-          << what << "[" << i << "][" << j << "]";
-    }
-  }
-}
-
-void ExpectIdenticalResults(const ToprrResult& flat,
-                            const ToprrResult& legacy) {
-  ASSERT_EQ(flat.timed_out, legacy.timed_out);
-  EXPECT_EQ(flat.degenerate, legacy.degenerate);
-  ExpectSameHalfspaces(flat.impact_halfspaces, legacy.impact_halfspaces,
-                       "impact_halfspaces");
-  ExpectSameVecs(flat.vall, legacy.vall, "vall");
-  ExpectSameVecs(flat.vertices, legacy.vertices, "vertices");
-  EXPECT_EQ(flat.stats.regions_tested, legacy.stats.regions_tested);
-  EXPECT_EQ(flat.stats.regions_accepted, legacy.stats.regions_accepted);
-  EXPECT_EQ(flat.stats.regions_split, legacy.stats.regions_split);
-  EXPECT_EQ(flat.stats.kipr_accepts, legacy.stats.kipr_accepts);
-  EXPECT_EQ(flat.stats.lemma7_accepts, legacy.stats.lemma7_accepts);
-  EXPECT_EQ(flat.stats.lemma5_prunes, legacy.stats.lemma5_prunes);
-  EXPECT_EQ(flat.stats.vall_raw, legacy.stats.vall_raw);
-  EXPECT_EQ(flat.stats.vall_unique, legacy.stats.vall_unique);
-}
-
-TEST(FlatGeometryTest, SolverMatrixFlatVsLegacyAcrossMethodsDimsAndK) {
-  const ToprrMethod methods[] = {ToprrMethod::kTas, ToprrMethod::kTasStar,
-                                 ToprrMethod::kPac};
-  Rng rng(7007);
-  for (size_t d : {2u, 3u, 4u, 5u}) {
-    const size_t n = d == 5 ? 120 : 250;
-    const Dataset ds =
-        GenerateSynthetic(n, d, Distribution::kIndependent, 700 + d);
-    const PrefBox box = RandomPrefBox(d - 1, 0.04, rng);
-    for (int k : {1, 5, 10}) {
-      for (ToprrMethod method : methods) {
-        ToprrOptions with_flat;
-        with_flat.method = method;
-        ToprrOptions legacy = with_flat;
-        legacy.use_flat_geometry = false;
-        const ToprrResult a = SolveToprr(ds, k, box, with_flat);
-        const ToprrResult b = SolveToprr(ds, k, box, legacy);
-        ASSERT_FALSE(b.timed_out)
-            << ToprrMethodName(method) << " d=" << d << " k=" << k;
-        SCOPED_TRACE(std::string(ToprrMethodName(method)) + " d=" +
-                     std::to_string(d) + " k=" + std::to_string(k));
-        ExpectIdenticalResults(a, b);
-        // The legacy path reports no flat-split activity; the flat path
-        // classifies vertices whenever splits happened.
-        EXPECT_EQ(b.stats.scheduler.TotalSplitVerticesClassified(), 0u);
-        if (a.stats.regions_split > 0) {
-          EXPECT_GT(a.stats.scheduler.TotalSplitVerticesClassified(), 0u);
-        }
-      }
-    }
-  }
 }
 
 TEST(FlatGeometryTest, GeomCountersDeterministicAcrossExecutors) {

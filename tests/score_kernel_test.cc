@@ -1,9 +1,9 @@
 // Bit-identical contract of the SoA scoring kernel (topk/score_kernel.h):
-// kernel output must equal the naive per-vertex scan exactly -- at the
-// kernel level (TopKInto vs ComputeTopKReduced), at the solver level
-// (use_score_kernel on vs off across TAS/TAS*/PAC, dims, and k), and
-// under parent-to-child score reuse -- plus the arena's steady-state
-// zero-allocation guarantee.
+// kernel output must equal the naive per-vertex scan exactly -- top-k
+// profiles (TopKInto vs ComputeTopKReduced) and single scores (ScoreOf
+// vs ReducedScore), also under parent-to-child score reuse -- plus the
+// arena's steady-state zero-allocation guarantee and the determinism of
+// the kernel counters across executors.
 #include "topk/score_kernel.h"
 
 #include <gtest/gtest.h>
@@ -41,8 +41,25 @@ void ExpectSameTopk(const TopkResult& kernel, const TopkResult& naive) {
   }
 }
 
+// ScoreOf (the k-switch split's score source) must equal ReducedScore
+// bit for bit for every pool id at every scored vertex.
+void ExpectScoreOfMatchesReducedScore(const ScoreKernel& kernel,
+                                      const Dataset& data,
+                                      const std::vector<int>& ids,
+                                      const std::vector<Vec>& vertices) {
+  const size_t m = data.dim() - 1;
+  for (size_t v = 0; v < vertices.size(); ++v) {
+    for (int id : ids) {
+      EXPECT_EQ(kernel.ScoreOf(v, id),
+                ReducedScore(data.Row(id), vertices[v].data(), m))
+          << "vertex " << v << " id " << id;
+    }
+  }
+}
+
 // Runs the kernel over (data, ids, vertices, k) and checks every vertex's
-// top-k against ComputeTopKReduced, bit for bit.
+// top-k against ComputeTopKReduced and every score read through ScoreOf
+// against ReducedScore, bit for bit.
 void CheckKernelAgainstNaive(const Dataset& data,
                              const std::vector<int>& ids,
                              const std::vector<Vec>& vertices, int k,
@@ -58,6 +75,7 @@ void CheckKernelAgainstNaive(const Dataset& data,
     SCOPED_TRACE("vertex " + std::to_string(v));
     ExpectSameTopk(profiles[v], naive);
   }
+  ExpectScoreOfMatchesReducedScore(kernel, data, ids, vertices);
 }
 
 TEST(ScoreKernelTest, MatchesNaiveAcrossDimsAndK) {
@@ -147,6 +165,7 @@ TEST(ScoreKernelTest, ParentToChildReuseIsExact) {
     SCOPED_TRACE("child vertex " + std::to_string(v));
     ExpectSameTopk(profiles[v], naive);
   }
+  ExpectScoreOfMatchesReducedScore(child, ds, surviving, child_vertices);
 }
 
 TEST(ScoreKernelTest, SteadyStateMakesNoAllocations) {
@@ -204,82 +223,6 @@ TEST(ScoreKernelTest, RankOfMatchesRankOfOption) {
           << "v=" << v << " id=" << id;
       EXPECT_EQ(RankFromScores(ids, kernel.Scores(v), id),
                 RankOfOption(ds, ids, vertices[v], id));
-    }
-  }
-}
-
-// ---- Solver-level regression matrix: kernel vs naive scoring path. ----
-
-void ExpectSameVecs(const std::vector<Vec>& a, const std::vector<Vec>& b,
-                    const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].dim(), b[i].dim()) << what << "[" << i << "]";
-    for (size_t j = 0; j < a[i].dim(); ++j) {
-      EXPECT_EQ(a[i][j], b[i][j]) << what << "[" << i << "][" << j << "]";
-    }
-  }
-}
-
-void ExpectSameHalfspaces(const std::vector<Halfspace>& a,
-                          const std::vector<Halfspace>& b,
-                          const char* what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].offset, b[i].offset) << what << "[" << i << "]";
-    ASSERT_EQ(a[i].normal.dim(), b[i].normal.dim()) << what;
-    for (size_t j = 0; j < a[i].normal.dim(); ++j) {
-      EXPECT_EQ(a[i].normal[j], b[i].normal[j])
-          << what << "[" << i << "][" << j << "]";
-    }
-  }
-}
-
-void ExpectIdenticalResults(const ToprrResult& kernel,
-                            const ToprrResult& naive) {
-  ASSERT_EQ(kernel.timed_out, naive.timed_out);
-  EXPECT_EQ(kernel.degenerate, naive.degenerate);
-  ExpectSameHalfspaces(kernel.impact_halfspaces, naive.impact_halfspaces,
-                       "impact_halfspaces");
-  ExpectSameVecs(kernel.vall, naive.vall, "vall");
-  ExpectSameVecs(kernel.vertices, naive.vertices, "vertices");
-  EXPECT_EQ(kernel.stats.regions_tested, naive.stats.regions_tested);
-  EXPECT_EQ(kernel.stats.regions_accepted, naive.stats.regions_accepted);
-  EXPECT_EQ(kernel.stats.regions_split, naive.stats.regions_split);
-  EXPECT_EQ(kernel.stats.kipr_accepts, naive.stats.kipr_accepts);
-  EXPECT_EQ(kernel.stats.lemma7_accepts, naive.stats.lemma7_accepts);
-  EXPECT_EQ(kernel.stats.lemma5_prunes, naive.stats.lemma5_prunes);
-  EXPECT_EQ(kernel.stats.vall_raw, naive.stats.vall_raw);
-  EXPECT_EQ(kernel.stats.vall_unique, naive.stats.vall_unique);
-}
-
-TEST(ScoreKernelTest, SolverMatrixKernelVsNaiveAcrossMethodsDimsAndK) {
-  const ToprrMethod methods[] = {ToprrMethod::kTas, ToprrMethod::kTasStar,
-                                 ToprrMethod::kPac};
-  Rng rng(4007);
-  for (size_t d : {2u, 3u, 4u, 5u}) {
-    const size_t n = d == 5 ? 120 : 250;
-    const Dataset ds =
-        GenerateSynthetic(n, d, Distribution::kIndependent, 500 + d);
-    const PrefBox box = RandomPrefBox(d - 1, 0.04, rng);
-    for (int k : {1, 5, 10}) {
-      for (ToprrMethod method : methods) {
-        ToprrOptions with_kernel;
-        with_kernel.method = method;
-        ToprrOptions naive = with_kernel;
-        naive.use_score_kernel = false;
-        const ToprrResult a = SolveToprr(ds, k, box, with_kernel);
-        const ToprrResult b = SolveToprr(ds, k, box, naive);
-        ASSERT_FALSE(b.timed_out)
-            << ToprrMethodName(method) << " d=" << d << " k=" << k;
-        SCOPED_TRACE(std::string(ToprrMethodName(method)) + " d=" +
-                     std::to_string(d) + " k=" + std::to_string(k));
-        ExpectIdenticalResults(a, b);
-        // The naive path reports no kernel activity; the kernel path
-        // accounts one gather per tested region.
-        EXPECT_EQ(b.stats.scheduler.TotalCandidatesScored(), 0u);
-        EXPECT_GT(a.stats.scheduler.TotalCandidatesScored(), 0u);
-      }
     }
   }
 }

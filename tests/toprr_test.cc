@@ -1,6 +1,8 @@
 #include "core/toprr.h"
 
 #include <cmath>
+#include <numeric>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -223,38 +225,83 @@ TEST(ToprrTest, LargerRegionShrinksResult) {
   }
 }
 
-TEST(ToprrTest, ImpactOffsetsMatchFullDatasetTopK) {
-  // Each Vall vertex's halfspace offset must equal the k-th score over the
-  // FULL dataset (i.e., the r-skyband filter lost nothing).
-  const Dataset ds = GenerateSynthetic(500, 3, Distribution::kIndependent,
-                                       107);
-  PrefBox box;
-  box.lo = Vec{0.3, 0.25};
-  box.hi = Vec{0.36, 0.31};
-  const int k = 7;
-  const ToprrResult r = SolveToprr(ds, k, box);
+// Definition check of one solve: for every Vall vertex v the impact
+// halfspace is (-w(v)).o <= -TopK(v), with TopK recomputed by the naive
+// scan over ALL option ids (so the r-skyband filter lost nothing). A
+// halfspace the assembly kept must match bit for bit; one it merged into
+// an earlier halfspace must match that one within the 1e-10 dedup
+// quantum.
+void ExpectImpactOffsetsMatchDefinition(const Dataset& ds, int k,
+                                        const ToprrResult& r) {
+  ASSERT_FALSE(r.timed_out);
+  ASSERT_FALSE(r.vall.empty());
+  const size_t d = ds.dim();
+  std::vector<int> all_ids(ds.size());
+  std::iota(all_ids.begin(), all_ids.end(), 0);
+  const std::vector<Halfspace>& kept = r.impact_halfspaces;
+  size_t next = 0;  // the next kept halfspace, in Vall order
   for (const Vec& v : r.vall) {
     const Vec w = FullWeight(v);
-    const TopkResult full = ComputeTopK(ds, w, k);
-    // Find a halfspace with this weight vector.
-    bool found = false;
-    for (const Halfspace& h : r.impact_halfspaces) {
-      bool same_w = true;
-      for (size_t j = 0; j < w.dim(); ++j) {
-        if (std::abs(h.normal[j] + w[j]) > 1e-9) {
-          same_w = false;
-          break;
-        }
-      }
-      if (same_w) {
-        EXPECT_NEAR(-h.offset, full.KthScore(), 1e-9);
-        found = true;
-        break;
+    const double offset = -ComputeTopKReduced(ds, all_ids, v, k).KthScore();
+    bool bitwise = next < kept.size() && kept[next].offset == offset;
+    for (size_t j = 0; bitwise && j < d; ++j) {
+      bitwise = kept[next].normal[j] == -w[j];
+    }
+    if (bitwise) {
+      ++next;
+      continue;
+    }
+    bool merged = false;
+    for (size_t i = 0; i < next && !merged; ++i) {
+      merged = std::abs(kept[i].offset - offset) <= 1e-10;
+      for (size_t j = 0; merged && j < d; ++j) {
+        merged = std::abs(kept[i].normal[j] + w[j]) <= 1e-10;
       }
     }
-    EXPECT_TRUE(found) << "no impact halfspace for Vall vertex "
-                       << v.ToString();
+    EXPECT_TRUE(merged) << "Vall vertex " << v.ToString()
+                        << " has no impact halfspace with offset " << offset;
   }
+  EXPECT_EQ(next, kept.size());
+}
+
+TEST(ToprrTest, ImpactOffsetsMatchFullDatasetTopK) {
+  {
+    const Dataset ds =
+        GenerateSynthetic(500, 3, Distribution::kIndependent, 107);
+    PrefBox box;
+    box.lo = Vec{0.3, 0.25};
+    box.hi = Vec{0.36, 0.31};
+    ExpectImpactOffsetsMatchDefinition(ds, 7, SolveToprr(ds, 7, box));
+  }
+  // The solver matrix {TAS, TAS*, PAC} x d x k. The kernel and
+  // flat-split counters show the one production path (SoA scoring,
+  // FlatRegion::Split) produced every result.
+  const ToprrMethod methods[] = {ToprrMethod::kTas, ToprrMethod::kTasStar,
+                                 ToprrMethod::kPac};
+  Rng rng(4007);
+  size_t cells_with_splits = 0;
+  for (size_t d : {2u, 3u, 4u, 5u}) {
+    const size_t n = d == 5 ? 120 : 250;
+    const Dataset ds =
+        GenerateSynthetic(n, d, Distribution::kIndependent, 500 + d);
+    const PrefBox box = RandomPrefBox(d - 1, 0.04, rng);
+    for (int k : {1, 5, 10}) {
+      for (ToprrMethod method : methods) {
+        SCOPED_TRACE(std::string(ToprrMethodName(method)) + " d=" +
+                     std::to_string(d) + " k=" + std::to_string(k));
+        ToprrOptions options;
+        options.method = method;
+        const ToprrResult r = SolveToprr(ds, k, box, options);
+        ExpectImpactOffsetsMatchDefinition(ds, k, r);
+        EXPECT_GT(r.stats.scheduler.TotalCandidatesScored(), 0u);
+        if (r.stats.regions_split > 0) {
+          ++cells_with_splits;
+          EXPECT_GT(r.stats.scheduler.TotalSplitVerticesClassified(), 0u);
+        }
+      }
+    }
+  }
+  EXPECT_GT(cells_with_splits, 0u);
 }
 
 TEST(ToprrTest, StatsArePopulated) {
