@@ -3,21 +3,25 @@
 // from scratch over the new snapshot's live rows.
 //
 // Each config stages a delta of `delta_pct` percent of n (half inserts,
-// half deletes of non-skyband rows -- the common case the incremental
-// path is built for), publishes it, and then times two pure-function
+// half deletes of non-skyband rows -- the common case), plus
+// `member_deletes` deletes of the highest-sum skyband members (the rows
+// that dominate the most others, so the costliest to delete
+// incrementally), publishes it, and then times two pure-function
 // payloads over the published snapshot:
 //  * rebuild     -- SortBasedKSkybandPool over all live ids (what every
 //                   publish would cost without incremental maintenance);
 //  * incremental -- copy the parent version's state and apply the delta
-//                   via KSkybandApplyInserts (deletes of non-members are
-//                   free by construction).
+//                   via KSkybandApplyDelta (which itself rebuilds a
+//                   delta deleting more than half of the members).
 // Both series run on identical inputs; the incremental points carry
 // `speedup_vs_rebuild` against the matching rebuild point (registered
 // and therefore run first), `equal` asserting bit-identity of the two
 // states (ids and counts), and `publish_ms` for the catalog publish
 // itself (COW chunk sharing keeps it O(delta)). CI's bench-smoke job
 // gates `snapshot_update/incremental/d:4/k:10/delta:1pct` at >= 5x with
-// equal == 1 (ci/check_bench_smoke.py --snapshot).
+// equal == 1 (ci/check_bench_smoke.py --snapshot). The member-delete
+// family at d:4/k:10 deletes 1, k + 1 and 800 of the ~1470 members; the
+// last is past the bulk-delete rule and so times the rebuild twice.
 //
 // Emit the committed JSON trajectory with the stock flags:
 //   bench_snapshot_update --benchmark_format=json
@@ -25,6 +29,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -44,17 +49,24 @@ struct UpdateConfig {
   size_t d;
   int k;
   int delta_pct;  // staged rows as a percentage of n (half ins, half del)
+  int member_deletes = 0;  // skyband members deleted on top of the delta
 
   std::string Label() const {
-    return "d:" + std::to_string(d) + "/k:" + std::to_string(k) +
-           "/delta:" + std::to_string(delta_pct) + "pct";
+    std::string label = "d:" + std::to_string(d) + "/k:" + std::to_string(k);
+    if (member_deletes > 0) {
+      label += "/member_deletes:" + std::to_string(member_deletes);
+    }
+    return label + "/delta:" + std::to_string(delta_pct) + "pct";
   }
 };
 
-// The sweep; the last entry is the CI-gated configuration.
+// The sweep: d:4/k:10/delta:1pct is the CI-gated configuration.
 const UpdateConfig kConfigs[] = {
     {50000, 3, 5, 1},
     {50000, 4, 10, 1},
+    {50000, 4, 10, 1, 1},
+    {50000, 4, 10, 1, 11},
+    {50000, 4, 10, 1, 800},
 };
 
 // Rebuild per-round median seconds per config, seeded by the rebuild
@@ -74,8 +86,8 @@ struct Prepared {
 };
 
 // `count` staged inserts drawn uniform, `count` staged deletes of rows
-// outside the base skyband -- the non-member-delete common case the
-// incremental path is built for.
+// outside the base skyband -- the non-member-delete common case -- and
+// deletes of the config's member_deletes highest-sum skyband members.
 const Prepared& PrepareOnce(const UpdateConfig& config, uint64_t seed) {
   static auto& prepared = *new std::map<std::string, Prepared*>();
   Prepared*& slot = prepared[config.Label()];
@@ -94,6 +106,17 @@ const Prepared& PrepareOnce(const UpdateConfig& config, uint64_t seed) {
     Vec row(config.d);
     for (size_t j = 0; j < config.d; ++j) row[j] = rng.Uniform();
     catalog.StageInsert(row);
+  }
+  std::vector<std::pair<double, int>> by_sum;
+  for (const int id : slot->base.ids) {
+    const double* row = v1->Row(static_cast<size_t>(id));
+    double sum = 0.0;
+    for (size_t j = 0; j < config.d; ++j) sum += row[j];
+    by_sum.emplace_back(-sum, id);
+  }
+  std::sort(by_sum.begin(), by_sum.end());
+  for (int i = 0; i < config.member_deletes; ++i) {
+    catalog.StageDelete(by_sum[static_cast<size_t>(i)].second);
   }
   int staged = 0;
   for (const int id : v1->live_ids()) {
@@ -121,7 +144,8 @@ void RunPoint(::benchmark::State& state, const UpdateConfig& config,
   // Bit-identity of the two maintenance paths, asserted on the same
   // inputs the timed payloads run on (the CI gate requires equal == 1).
   KSkybandState carried = base;
-  KSkybandApplyInserts(view, config.k, snap->delta().inserted, &carried);
+  KSkybandApplyDelta(view, snap->live_ids(), config.k, snap->delta(),
+                     &carried);
   const KSkybandState rebuilt =
       SortBasedKSkybandPool(view, snap->live_ids(), config.k);
   const bool equal =
@@ -131,7 +155,8 @@ void RunPoint(::benchmark::State& state, const UpdateConfig& config,
   const auto payload = [&]() {
     if (incremental) {
       KSkybandState s = base;
-      KSkybandApplyInserts(view, config.k, snap->delta().inserted, &s);
+      KSkybandApplyDelta(view, snap->live_ids(), config.k, snap->delta(),
+                         &s);
       checksum += static_cast<double>(s.ids.size());
     } else {
       const KSkybandState s =

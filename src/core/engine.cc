@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <condition_variable>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -53,29 +54,56 @@ ToprrEngine::UpdateCounters ToprrEngine::update_counters() const {
 
 void ToprrEngine::BuildSkybandEntry(const SnapshotPtr& snap, int k,
                                     SkybandEntry* entry) {
-  // Consume the parent-version base staged at entry creation; dropping it
-  // here (not at GC time) keeps snapshot chains from accumulating.
+  // Consume the base staged at entry creation; dropping it here (not at
+  // GC time) keeps snapshot chains from accumulating.
   const SkybandEntryPtr base = std::move(entry->prev);
-  const SnapshotDelta& delta = snap->delta();
+  const bool base_built =
+      base != nullptr && base->built.load(std::memory_order_acquire);
   const DatasetView view = snap->View();
-  if (base != nullptr && base->built.load(std::memory_order_acquire) &&
-      !KSkybandDeleteHitsMember(delta.deleted, base->ids)) {
-    // Incremental carry-forward: non-member deletions are free, inserts
-    // are dominance-checked against the cached members (exact; see the
+  KSkybandState state;
+  if (base_built && base->version == snap->parent_id()) {
+    // Incremental carry-forward along the delta (exact; see the
     // correctness argument in topk/skyband.h).
-    KSkybandState state{base->ids, base->counts};
-    KSkybandApplyInserts(view, k, delta.inserted, &state);
-    entry->ids = std::move(state.ids);
-    entry->counts = std::move(state.counts);
-    entry->incremental = true;
-    skyband_incremental_.fetch_add(1, std::memory_order_relaxed);
+    state = KSkybandState{base->ids, base->counts};
+    entry->incremental = KSkybandApplyDelta(view, snap->live_ids(), k,
+                                            snap->delta(), &state);
   } else {
-    KSkybandState state = SortBasedKSkybandPool(view, snap->live_ids(), k);
-    entry->ids = std::move(state.ids);
-    entry->counts = std::move(state.counts);
-    skyband_rebuilds_.fetch_add(1, std::memory_order_relaxed);
+    // No base, or one from a version other than the parent (the engine
+    // skipped a version), whose state the delta does not apply to.
+    state = SortBasedKSkybandPool(view, snap->live_ids(), k);
   }
+  (entry->incremental ? skyband_incremental_ : skyband_rebuilds_)
+      .fetch_add(1, std::memory_order_relaxed);
+  entry->epoch = EpochFor(view, k, state.ids);
+  entry->ids = std::move(state.ids);
+  entry->counts = std::move(state.counts);
   entry->built.store(true, std::memory_order_release);
+}
+
+uint64_t ToprrEngine::EpochFor(const DatasetView& view, int k,
+                               const std::vector<int>& ids) {
+  // The solve reads the skyband rows' values, not just their ids: two
+  // unrelated roots may share ids.
+  std::vector<double> rows;
+  rows.reserve(ids.size() * view.dim());
+  for (const int id : ids) {
+    const double* p = view.Row(id);
+    rows.insert(rows.end(), p, p + view.dim());
+  }
+  std::lock_guard<std::mutex> lock(epochs_mu_);
+  for (auto it = recent_skybands_.begin(); it != recent_skybands_.end();
+       ++it) {
+    if (it->k == k && it->ids == ids && it->rows.size() == rows.size() &&
+        std::memcmp(it->rows.data(), rows.data(),
+                    rows.size() * sizeof(double)) == 0) {
+      recent_skybands_.splice(recent_skybands_.begin(), recent_skybands_, it);
+      return it->epoch;
+    }
+  }
+  recent_skybands_.push_front(
+      RecentSkyband{k, ids, std::move(rows), next_epoch_++});
+  if (recent_skybands_.size() > kRecentSkybands) recent_skybands_.pop_back();
+  return recent_skybands_.front().epoch;
 }
 
 ToprrEngine::SkybandEntryPtr ToprrEngine::GetSkyband(const SnapshotPtr& snap,
@@ -96,6 +124,7 @@ ToprrEngine::SkybandEntryPtr ToprrEngine::GetSkyband(const SnapshotPtr& snap,
       entry = it->second;
     } else {
       entry = std::make_shared<SkybandEntry>();
+      entry->version = snap->id();
       if (snap->parent_id() != 0) {
         auto parent =
             skyband_cache_.find(std::make_pair(k, snap->parent_id()));
@@ -137,7 +166,8 @@ void ToprrEngine::SetSnapshot(SnapshotPtr snapshot) {
     publishes_seen_.fetch_add(1, std::memory_order_relaxed);
 
     // Stage eager maintenance: one fresh entry per k cached at the old
-    // current version, chained to it as the incremental base. Doing this
+    // current version, chained to it as its base (see SkybandEntry::prev;
+    // the new version is normally the old one's child). Doing this
     // under the lock (building outside it) means a query racing with the
     // publish either finds the staged entry or creates an equivalent one.
     for (const auto& [key, entry] : skyband_cache_) {
@@ -145,6 +175,7 @@ void ToprrEngine::SetSnapshot(SnapshotPtr snapshot) {
       const auto new_key = std::make_pair(key.first, new_id);
       if (skyband_cache_.count(new_key) != 0) continue;
       auto fresh = std::make_shared<SkybandEntry>();
+      fresh->version = new_id;
       fresh->prev = entry;
       skyband_cache_.emplace(new_key, fresh);
       to_build.emplace_back(key.first, fresh);
@@ -186,14 +217,13 @@ bool BoxIsCacheable(const PrefBox& box) {
   return box.InsideSimplex();
 }
 
-// The region-cache signature: the option fingerprint plus the snapshot's
-// content id. Folding the version into the signature is what lets stale
-// entries age out of the LRU instead of requiring a mass drop on publish.
-std::string SignatureFor(const ToprrOptions& options,
-                         const DatasetSnapshot& snap) {
+// The region-cache signature: the option fingerprint plus the k-skyband
+// epoch. Equal epochs mean equal skyband rows, and the solve reads nothing
+// else, so entries survive every publish that leaves the skyband alone;
+// when it changes they stop matching and age out of the LRU.
+std::string SignatureFor(const ToprrOptions& options, uint64_t epoch) {
   std::string signature = CacheSignature(options);
-  const uint64_t id = snap.id();
-  signature.append(reinterpret_cast<const char*>(&id), sizeof(id));
+  signature.append(reinterpret_cast<const char*>(&epoch), sizeof(epoch));
   return signature;
 }
 
@@ -264,8 +294,9 @@ ToprrResult ToprrEngine::SolveCachedBox(const SnapshotPtr& snap, int k,
                                         const PrefBox& box,
                                         const ToprrOptions& options) {
   RegionCache& cache = *region_cache_;
-  const std::string signature = SignatureFor(options, *snap);
   Timer total;
+  const SkybandEntryPtr skyband = GetSkyband(snap, k);
+  const std::string signature = SignatureFor(options, skyband->epoch);
   if (std::shared_ptr<const RegionCacheEntry> entry =
           cache.FindContaining(k, signature, box)) {
     ToprrResult result = AssembleFromCells(snap, entry->cells,
@@ -280,13 +311,15 @@ ToprrResult ToprrEngine::SolveCachedBox(const SnapshotPtr& snap, int k,
     if (std::shared_ptr<const RegionCacheEntry> entry =
             cache.FindOverlap(k, signature, box)) {
       ToprrResult result =
-          SolvePartialOverlap(snap, k, box, options, std::move(entry));
+          SolvePartialOverlap(snap, k, box, options, *skyband,
+                              std::move(entry));
       result.stats.total_seconds = total.Seconds();
       return result;
     }
   }
   cache.RecordMiss();
-  ToprrResult result = SolveColdAndInsert(snap, k, box, options, signature);
+  ToprrResult result =
+      SolveColdAndInsert(snap, k, box, options, *skyband, signature);
   result.stats.total_seconds = total.Seconds();
   return result;
 }
@@ -312,7 +345,7 @@ ToprrResult ToprrEngine::AssembleFromCells(
 
 ToprrResult ToprrEngine::SolvePartialOverlap(
     const SnapshotPtr& snap, int k, const PrefBox& box,
-    const ToprrOptions& options,
+    const ToprrOptions& options, const SkybandEntry& skyband,
     std::shared_ptr<const RegionCacheEntry> entry) {
   const std::optional<PrefBox> core = IntersectBoxes(box, entry->box);
   CHECK(core.has_value());  // FindOverlap guarantees positive widths
@@ -321,11 +354,10 @@ ToprrResult ToprrEngine::SolvePartialOverlap(
 
   // Fresh candidates for the whole query box: a valid superset for the
   // frontier sub-boxes and for the reused core alike.
-  const SkybandEntryPtr skyband = GetSkyband(snap, k);
   Timer filter_timer;
   std::vector<int> candidates =
-      options.use_rskyband_filter ? RSkyband(view, box, k, &skyband->ids)
-                                  : skyband->ids;
+      options.use_rskyband_filter ? RSkyband(view, box, k, &skyband.ids)
+                                  : skyband.ids;
   const double filter_seconds = filter_timer.Seconds();
 
   // Resume the uncovered remainder as a scheduler frontier. Root ids sit
@@ -388,6 +420,7 @@ ToprrResult ToprrEngine::SolvePartialOverlap(
 ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
                                             const PrefBox& box,
                                             const ToprrOptions& options,
+                                            const SkybandEntry& skyband,
                                             const std::string& signature) {
   RegionCache& cache = *region_cache_;
   const PrefBox canon = cache.Canonicalize(box);
@@ -396,7 +429,6 @@ ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
   // The canonical root, clipped against the preference simplex when the
   // outward snap poked past it (the clipped region still contains every
   // in-simplex query box that canonicalizes here).
-  const SkybandEntryPtr skyband = GetSkyband(snap, k);
   Timer filter_timer;
   PrefRegion root;
   std::vector<int> candidates;
@@ -404,8 +436,8 @@ ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
   if (canon.InsideSimplex()) {
     root = PrefRegion::FromBox(canon);
     candidates = options.use_rskyband_filter
-                     ? RSkyband(view, canon, k, &skyband->ids)
-                     : skyband->ids;
+                     ? RSkyband(view, canon, k, &skyband.ids)
+                     : skyband.ids;
   } else {
     const Hyperplane simplex(Vec(canon.dim(), 1.0), 1.0);
     PrefRegionSplit split =
@@ -414,8 +446,8 @@ ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
       root = std::move(*split.below);
       candidates = options.use_rskyband_filter
                        ? RSkybandVertices(view, root.vertices(), k,
-                                          &skyband->ids)
-                       : skyband->ids;
+                                          &skyband.ids)
+                       : skyband.ids;
     } else {
       root_ok = false;
     }
@@ -449,7 +481,6 @@ ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
   entry->candidates = std::move(candidates);
   entry->cells = std::move(cells);
   entry->regions_tested = canon_result.stats.regions_tested;
-  entry->snapshot = snap;  // keeps the candidate ids valid entry-long
 
   // Assemble the query's own result from the entry cells -- the same
   // tail as a cache hit, which is what makes hits bit-identical to the

@@ -19,14 +19,20 @@
 //    nothing mutable.
 //  * SetSnapshot moves the engine to a newer version (typically
 //    MutableCatalog::Publish output). Per-k skybands are maintained
-//    *incrementally* across the snapshot delta -- inserted rows are
-//    dominance-checked against the cached skyband (O(delta * skyband)),
-//    deletions of non-members are free, and only a member deletion
-//    forces a SortBasedKSkyband rebuild over the live rows.
-//  * Region-cache entries fold the snapshot id into their signature:
-//    entries from old versions stop matching and age out through the
-//    LRU instead of being mass-dropped, and each entry pins the snapshot
-//    it was solved from.
+//    *incrementally* across the snapshot delta (KSkybandApplyDelta):
+//    deletions of non-members are free, a member deletion rescans only
+//    the rows the deleted member dominated, and inserted rows are
+//    dominance-checked against the cached skyband (O(delta * skyband)).
+//    Only a delta deleting more than half of the members rebuilds.
+//  * A TopRR answer is fixed by the k-skyband's rows, not by the whole
+//    table: every top-k lies in the k-skyband. Each (k, version) skyband
+//    entry therefore carries an epoch, reused from the last few distinct
+//    skybands built when one has the same k, ids and row values, and
+//    fresh otherwise. Region-cache signatures fold in that epoch instead
+//    of the snapshot id: a publish that leaves a k-skyband alone keeps
+//    every cached region of that k, and so does one that returns it to
+//    a recent state (a writer deleting the row it just inserted). Any
+//    other change makes them stop matching, to age out through the LRU.
 //
 // Thread-safety contract:
 //  * Solve / SolveBatch / KSkyband / SetSnapshot may be called
@@ -42,6 +48,7 @@
 #define TOPRR_CORE_ENGINE_H_
 
 #include <atomic>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -162,7 +169,7 @@ class ToprrEngine {
   struct UpdateCounters {
     uint64_t publishes_seen = 0;       // SetSnapshot calls that changed id
     uint64_t skyband_incremental = 0;  // skybands carried across a delta
-    uint64_t skyband_rebuilds = 0;     // full SortBasedKSkyband builds
+    uint64_t skyband_rebuilds = 0;     // full SortBasedKSkybandPool builds
   };
   UpdateCounters update_counters() const;
 
@@ -177,8 +184,13 @@ class ToprrEngine {
     std::vector<int> ids;     // ascending
     std::vector<int> counts;  // per-member dominator counts (< k)
     bool incremental = false;  // how the build ran (telemetry/tests)
-    /// The same-k entry of the parent snapshot version, staged at entry
-    /// creation under cache_mu_ and consumed (dropped) by the build.
+    uint64_t version = 0;      // the snapshot id this entry belongs to
+    /// Equal epochs imply equal ids and row values (and so equal
+    /// solves); keys the region cache. Set by the build (EpochFor).
+    uint64_t epoch = 0;
+    /// The same-k entry of the previous version, staged at entry
+    /// creation under cache_mu_ and consumed (dropped) by the build: the
+    /// incremental base when that version is this one's parent.
     std::shared_ptr<SkybandEntry> prev;
   };
   using SkybandEntryPtr = std::shared_ptr<SkybandEntry>;
@@ -188,10 +200,14 @@ class ToprrEngine {
 
   /// The built skyband entry for (k, snap's version), creating/building
   /// it if needed (incrementally when the parent version's entry is
-  /// available and no skyband member was deleted).
+  /// available).
   SkybandEntryPtr GetSkyband(const SnapshotPtr& snap, int k);
   void BuildSkybandEntry(const SnapshotPtr& snap, int k,
                          SkybandEntry* entry);
+  /// The epoch of a built k-skyband: that of the recent skyband with the
+  /// same k, ids and row values, or a fresh one.
+  uint64_t EpochFor(const DatasetView& view, int k,
+                    const std::vector<int>& ids);
 
   /// Snapshot-pinned solve bodies behind the public Solve overloads.
   ToprrResult SolveBox(const SnapshotPtr& snap, int k, const PrefBox& box,
@@ -220,12 +236,14 @@ class ToprrEngine {
   ToprrResult SolvePartialOverlap(const SnapshotPtr& snap, int k,
                                   const PrefBox& box,
                                   const ToprrOptions& options,
+                                  const SkybandEntry& skyband,
                                   std::shared_ptr<const RegionCacheEntry>
                                       entry);
 
   ToprrResult SolveColdAndInsert(const SnapshotPtr& snap, int k,
                                  const PrefBox& box,
                                  const ToprrOptions& options,
+                                 const SkybandEntry& skyband,
                                  const std::string& signature);
 
   mutable std::mutex cache_mu_;
@@ -236,6 +254,21 @@ class ToprrEngine {
   std::atomic<uint64_t> publishes_seen_{0};
   std::atomic<uint64_t> skyband_incremental_{0};
   std::atomic<uint64_t> skyband_rebuilds_{0};
+
+  // The last kRecentSkybands distinct skybands built, most recently used
+  // first. A churning writer's deletes often undo its inserts, so the
+  // skyband keeps returning to a recent state; a handful of entries
+  // covers that and any mix of a few k.
+  struct RecentSkyband {
+    int k;
+    std::vector<int> ids;
+    std::vector<double> rows;  // the ids' row values, packed
+    uint64_t epoch;
+  };
+  static constexpr size_t kRecentSkybands = 8;
+  std::mutex epochs_mu_;
+  std::list<RecentSkyband> recent_skybands_;  // guarded by epochs_mu_
+  uint64_t next_epoch_ = 1;                   // guarded by epochs_mu_
 
   // Set once by EnableRegionCache before serving; the cache itself is
   // internally synchronized (sharded mutexes + shared_ptr payloads).

@@ -26,13 +26,15 @@
 // solve (the serve Stop() contract). The cache itself is a sharded-mutex
 // LRU with a per-shard slice of the byte budget; keys fold in k and a
 // signature of every option that changes partition semantics, so entries
-// are never reused across incompatible solves. The dataset version IS
-// part of the key: the engine folds the 64-bit DatasetSnapshot id into
-// the signature, so entries computed against an old snapshot can never
-// be served to queries on a newer one -- they simply stop matching and
-// age out of the LRU, no mass drop needed. Each entry additionally pins
-// the snapshot it was solved from, keeping its candidate ids valid for
-// as long as the entry lives.
+// are never reused across incompatible solves. The dataset version is
+// NOT part of the key: a solve reads only k-skyband rows, so the engine
+// folds in the epoch of the k-skyband it solved under (core/engine.h)
+// instead of the snapshot id. A publish that leaves the k-skyband alone
+// keeps every entry servable; one that changes it makes the old entries
+// stop matching, to age out of the LRU -- no mass drop needed. An entry
+// is served only while the serving skyband has its epoch, so its
+// candidates are live rows of the serving snapshot, read through the
+// query's own pin.
 #ifndef TOPRR_CORE_REGION_CACHE_H_
 #define TOPRR_CORE_REGION_CACHE_H_
 
@@ -87,11 +89,6 @@ struct RegionCacheEntry {
   std::vector<FlatCell> cells;
   size_t regions_tested = 0;  // partition tasks a full hit saves
   size_t bytes = 0;           // footprint charged against the budget
-  /// The dataset version this entry was solved from (data/snapshot.h).
-  /// Pinning it keeps `candidates` meaningful for the entry's whole
-  /// lifetime even after the engine moves to a newer snapshot. Null for
-  /// entries built outside the snapshot path (tests).
-  std::shared_ptr<const class DatasetSnapshot> snapshot;
 };
 
 /// Cumulative cache counters (monotone; snapshot via Counters()).

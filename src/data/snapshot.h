@@ -9,9 +9,10 @@
 //    new snapshot shares every unchanged chunk with its parent
 //    (copy-on-write: an insert copies at most the partial tail chunk).
 //  * Row ids are physical and stable forever: a delete only flips a
-//    tombstone bit, it never renumbers. Cached skybands, region-cache
-//    candidate lists, and solver results therefore stay id-compatible
-//    across publishes; readers enumerate live rows via live_ids().
+//    tombstone bit, it never renumbers, and a row's values never change.
+//    Cached skybands, region-cache candidate lists, and solver results
+//    therefore stay id-compatible across publishes; readers enumerate
+//    live rows via live_ids().
 //  * MutableCatalog is the single writer: it stages inserts/deletes and
 //    Publish()es a new snapshot. Readers (ToprrEngine solves) pin the
 //    snapshot they started on via shared_ptr and never observe a write.
@@ -19,8 +20,9 @@
 // Every snapshot carries a 64-bit FNV-1a content id: root snapshots hash
 // the full table, published snapshots mix the parent id with the delta
 // (O(delta) per publish). The id keys the engine's versioned skyband
-// cache and the region-cache signature, replacing the old debug-only
-// double fingerprint.
+// cache, replacing the old debug-only double fingerprint. (Region-cache
+// entries are keyed by the k-skyband they were solved under instead, so
+// they outlive publishes that leave it unchanged; see core/engine.h.)
 #ifndef TOPRR_DATA_SNAPSHOT_H_
 #define TOPRR_DATA_SNAPSHOT_H_
 
@@ -57,8 +59,8 @@ struct SnapshotDelta {
 
 /// One frozen version of the catalog. Immutable after construction;
 /// always held by shared_ptr (SnapshotPtr) so every reader -- an
-/// in-flight solve, a cached skyband, a pinned region-cache entry --
-/// keeps its version alive for exactly as long as it needs it.
+/// in-flight solve, the engine serving it -- keeps its version alive for
+/// exactly as long as it needs it.
 class DatasetSnapshot {
  public:
   /// Rows per value chunk (power of two). 1024 rows keeps the COW unit
@@ -106,8 +108,7 @@ class DatasetSnapshot {
   }
 
   /// 64-bit FNV-1a content id; equal only when the live table is equal
-  /// (modulo hash collisions). Keys the versioned skyband cache and the
-  /// region-cache signature.
+  /// (modulo hash collisions). Keys the versioned skyband cache.
   uint64_t id() const { return id_; }
   /// Monotone publish sequence number: 1 for roots, parent + 1 for every
   /// published successor. Unlike id() (a content hash with no order),

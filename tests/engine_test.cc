@@ -389,14 +389,59 @@ TEST(EngineTest, SetSnapshotMaintainsSkybandIncrementally) {
   EXPECT_EQ(engine.KSkyband(4),
             SortBasedKSkybandPool(v3->View(), v3->live_ids(), 4).ids);
 
-  // Deleting a member forces the rebuild path.
+  // Deleting a member is incremental too: only the rows it dominated
+  // are rescanned.
   catalog.StageDelete(engine.KSkyband(4).front());
   const SnapshotPtr v4 = catalog.Publish();
   engine.SetSnapshot(v4);
-  EXPECT_EQ(engine.update_counters().skyband_incremental, 2u);
-  EXPECT_EQ(engine.update_counters().skyband_rebuilds, 2u);
+  EXPECT_EQ(engine.update_counters().skyband_incremental, 3u);
+  EXPECT_EQ(engine.update_counters().skyband_rebuilds, 1u);
   EXPECT_EQ(engine.KSkyband(4),
             SortBasedKSkybandPool(v4->View(), v4->live_ids(), 4).ids);
+}
+
+TEST(EngineTest, SetSnapshotAcrossASkippedVersionRebuilds) {
+  // The delta of v3 is relative to v2, so an engine moving straight from
+  // v1 to v3 must not apply it to v1's skyband: it rebuilds. Equal ids
+  // still keep their region-cache epoch, so cached regions keep hitting.
+  const Dataset ds = GenerateSynthetic(500, 3, Distribution::kIndependent,
+                                       73);
+  MutableCatalog catalog(ds);
+  ToprrEngine engine(catalog.Current());
+  engine.EnableRegionCache({});
+  ToprrOptions cached;
+  cached.use_region_cache = true;
+  PrefBox box;
+  box.lo = Vec{12.0 / 256, 13.0 / 256};
+  box.hi = Vec{16.0 / 256, 17.0 / 256};
+  const int k = 4;
+  engine.Solve(k, box, cached);
+  const std::vector<int> members = engine.KSkyband(k);
+
+  // v2 deletes a member and v3 only adds a dominated row: applying v3's
+  // delta to v1's skyband would keep the deleted member.
+  catalog.StageDelete(members.front());
+  catalog.Publish();
+  catalog.StageInsert(Vec{0.001, 0.001, 0.001});
+  const SnapshotPtr v3 = catalog.Publish();
+  engine.SetSnapshot(v3);
+  EXPECT_EQ(engine.update_counters().skyband_incremental, 0u);
+  EXPECT_EQ(engine.update_counters().skyband_rebuilds, 2u);
+  EXPECT_EQ(engine.KSkyband(k),
+            SortBasedKSkybandPool(v3->View(), v3->live_ids(), k).ids);
+  EXPECT_EQ(engine.Solve(k, box, cached).stats.scheduler.cache_misses, 1u);
+
+  // v4 and v5 change nothing the skyband sees: skipping v4 rebuilds, but
+  // the epoch survives and the cached region hits.
+  const std::vector<int> before = engine.KSkyband(k);
+  catalog.StageInsert(Vec{0.002, 0.001, 0.001});
+  catalog.Publish();
+  catalog.StageInsert(Vec{0.001, 0.002, 0.001});
+  const SnapshotPtr v5 = catalog.Publish();
+  engine.SetSnapshot(v5);
+  EXPECT_EQ(engine.update_counters().skyband_rebuilds, 3u);
+  EXPECT_EQ(engine.KSkyband(k), before);
+  EXPECT_EQ(engine.Solve(k, box, cached).stats.scheduler.cache_hits, 1u);
 }
 
 TEST(EngineTest, ConcurrentPublishAndSolveBatchStress) {

@@ -1,16 +1,20 @@
 // Cross-query region cache (core/region_cache.h): bit-identity of
 // clipped hits against cold solves across methods, dimensions, and k;
 // partial-overlap frontier resumption; LRU byte budgeting;
-// invalidation; entry pinning across Clear(); and a concurrent
-// SolveBatch stress. Labeled `concurrency` through the CMake glob so CI
+// invalidation and survival across publishes; entry pinning across
+// Clear(); and concurrent SolveBatch stresses, one under a publishing
+// writer. Labeled `concurrency` through the CMake glob so CI
 // repeats it under TSan.
 #include "core/region_cache.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -426,10 +430,10 @@ TEST(RegionCacheTest, ConcurrentSolveBatchMixesHitsAndMisses) {
 }
 
 TEST(RegionCacheTest, StaleSnapshotEntriesAreNeverServedAfterPublish) {
-  // The snapshot id is folded into every entry's signature: after a
-  // publish changes the data, the same query must miss (old entries stop
-  // matching) and resolve against the new snapshot -- never against the
-  // old entry, whose cells would be stale.
+  // Entries are keyed by the epoch of the k-skyband they were solved
+  // under: a publish whose row enters the skyband changes the answer, so
+  // the same query must miss and resolve against the new snapshot --
+  // never against the old entry, whose cells would be stale.
   Dataset data = GenerateSynthetic(300, 3, Distribution::kIndependent, 6);
   MutableCatalog catalog(data);
   ToprrEngine engine(catalog.Current());
@@ -443,8 +447,9 @@ TEST(RegionCacheTest, StaleSnapshotEntriesAreNeverServedAfterPublish) {
   const ToprrResult warm_v1 = engine.Solve(k, box, cached);
   EXPECT_EQ(warm_v1.stats.scheduler.cache_hits, 1u);
 
-  // Publish a row that lands in the box's top-k everywhere: the correct
-  // answer changes, so serving the stale entry would be detectable.
+  // Publish a row that lands in the box's top-k everywhere: it joins the
+  // k-skyband and the correct answer changes, so serving the stale entry
+  // would be detectable.
   catalog.StageInsert(Vec{0.99, 0.99, 0.99});
   const SnapshotPtr v2 = catalog.Publish();
   engine.SetSnapshot(v2);
@@ -467,6 +472,255 @@ TEST(RegionCacheTest, StaleSnapshotEntriesAreNeverServedAfterPublish) {
   const ToprrResult warm_v2 = engine.Solve(k, box, cached);
   EXPECT_EQ(warm_v2.stats.scheduler.cache_hits, 1u);
   ExpectBitIdentical(after, warm_v2);
+}
+
+TEST(RegionCacheTest, EntriesSurvivePublishesThatKeepTheSkyband) {
+  // A dominated insert and a non-member delete leave the k-skyband -- and
+  // so every answer -- unchanged: the cached entry keeps serving, and the
+  // hit is bit-identical to a fresh cache-enabled engine at the new
+  // snapshot.
+  Dataset data = GenerateSynthetic(300, 3, Distribution::kIndependent, 8);
+  MutableCatalog catalog(data);
+  ToprrEngine engine(catalog.Current());
+  engine.EnableRegionCache({});
+  ToprrOptions cached;
+  cached.use_region_cache = true;
+  const PrefBox box = GridBox(2, 1.0 / 256.0, 12, 4);
+  const int k = 3;
+  ASSERT_EQ(engine.Solve(k, box, cached).stats.scheduler.cache_misses, 1u);
+
+  const std::vector<int> members = engine.KSkyband(k);
+  int non_member = -1;
+  for (const int id : catalog.Current()->live_ids()) {
+    if (!std::binary_search(members.begin(), members.end(), id)) {
+      non_member = id;
+      break;
+    }
+  }
+  ASSERT_GE(non_member, 0);
+  catalog.StageInsert(Vec{0.001, 0.001, 0.001});
+  ASSERT_TRUE(catalog.StageDelete(non_member));
+  const SnapshotPtr v2 = catalog.Publish();
+  engine.SetSnapshot(v2);
+  ASSERT_EQ(engine.KSkyband(k), members);
+
+  const ToprrResult hit = engine.Solve(k, box, cached);
+  EXPECT_EQ(hit.stats.scheduler.cache_hits, 1u);
+  EXPECT_EQ(hit.snapshot_id, v2->id());
+  ToprrEngine fresh(v2);
+  fresh.EnableRegionCache({});
+  const ToprrResult miss = fresh.Solve(k, box, cached);
+  EXPECT_EQ(miss.stats.scheduler.cache_misses, 1u);
+  ExpectBitIdentical(miss, hit);
+
+  // A row that joins the skyband changes the answer (a miss); deleting
+  // it again returns the skyband to its earlier state, whose entry hits.
+  const int strong = catalog.StageInsert(Vec{0.99, 0.99, 0.99});
+  engine.SetSnapshot(catalog.Publish());
+  EXPECT_EQ(engine.Solve(k, box, cached).stats.scheduler.cache_misses, 1u);
+  ASSERT_TRUE(catalog.StageDelete(strong));
+  const SnapshotPtr v4 = catalog.Publish();
+  engine.SetSnapshot(v4);
+  ASSERT_EQ(engine.KSkyband(k), members);
+  const ToprrResult back = engine.Solve(k, box, cached);
+  EXPECT_EQ(back.stats.scheduler.cache_hits, 1u);
+  ToprrEngine fresh_v4(v4);
+  fresh_v4.EnableRegionCache({});
+  ExpectBitIdentical(fresh_v4.Solve(k, box, cached), back);
+}
+
+TEST(RegionCacheTest, UnrelatedSnapshotsWithEqualSkybandIdsDoNotShare) {
+  // Two unrelated tables of mutually incomparable rows (x rises as y
+  // falls): every row is in each one's skyband, so the skyband ids are
+  // equal, but the rows differ, and so must the cache entries.
+  std::vector<Vec> first;
+  std::vector<Vec> second;
+  for (int i = 0; i < 12; ++i) {
+    const double t = (i + 1) / 13.0;
+    first.push_back(Vec{t, 1.0 - t, 0.5 + 0.03 * i});
+    second.push_back(Vec{t, 1.0 - t, 0.9 - 0.05 * i});
+  }
+  const int k = 3;
+  ToprrEngine engine(DatasetSnapshot::FromRows(first));
+  engine.EnableRegionCache({});
+  ToprrOptions cached;
+  cached.use_region_cache = true;
+  const PrefBox box = GridBox(2, 1.0 / 256.0, 12, 4);
+  engine.Solve(k, box, cached);
+  const std::vector<int> ids = engine.KSkyband(k);
+
+  const SnapshotPtr other = DatasetSnapshot::FromRows(second);
+  engine.SetSnapshot(other);
+  ASSERT_EQ(engine.KSkyband(k), ids);
+  const ToprrResult result = engine.Solve(k, box, cached);
+  EXPECT_EQ(result.stats.scheduler.cache_misses, 1u);
+  ToprrEngine cold(other);
+  ToprrOptions plain;
+  ExpectBitIdentical(cold.Solve(k, box, plain), result);
+}
+
+// A writer churns the catalog -- weak (dominated) and strong inserts,
+// deletes of its own rows and of k-skyband members -- between rounds of
+// same-size grid-aligned queries. A full hit or a miss must be
+// bit-identical to a fresh cache-enabled engine at the same snapshot
+// (both clip the same canonical entry); a partial overlap is checked
+// semantically against a cache-off solve. Entries must survive the
+// publishes that keep the skyband.
+TEST(RegionCacheTest, ChurnMatrixHitsAcrossPublishesStayExact) {
+  const double quantum = 1.0 / 256.0;
+  // Disjoint positions, plus one overlapping two of them (partial hits).
+  const uint64_t positions[] = {8, 12, 16, 20, 10};
+  uint64_t queries = 0;
+  uint64_t hits_across_publishes = 0;
+  for (const size_t d : {size_t{3}, size_t{4}}) {
+    for (const int k : {1, 5, 10}) {
+      SCOPED_TRACE(testing::Message() << "d=" << d << " k=" << k);
+      const Dataset data = GenerateSynthetic(
+          250, d, Distribution::kIndependent, 900 + 10 * d + k);
+      MutableCatalog catalog(data);
+      ToprrEngine engine(catalog.Current());
+      engine.EnableRegionCache({});
+      ToprrOptions cached;
+      cached.use_region_cache = true;
+      ToprrOptions plain;
+      Rng rng(31 * d + k);
+      std::vector<int> own;
+      // Snapshot id of each position's latest miss.
+      std::map<uint64_t, uint64_t> solved_at;
+      for (int publish = 0; publish < 10; ++publish) {
+        const SnapshotPtr snap = engine.snapshot();
+        ToprrEngine fresh(snap);
+        fresh.EnableRegionCache({});
+        for (const uint64_t at : positions) {
+          const PrefBox box = GridBox(d - 1, quantum, at, 4);
+          ASSERT_TRUE(box.InsideSimplex());
+          const ToprrResult result = engine.Solve(k, box, cached);
+          ++queries;
+          ASSERT_FALSE(result.timed_out);
+          ASSERT_EQ(result.snapshot_id, snap->id());
+          const SchedulerStats& stats = result.stats.scheduler;
+          if (stats.cache_partial_hits == 1) {
+            ExpectSameRegionSemantics(data, engine.Solve(k, box, plain),
+                                      result, at + 1000 * publish);
+            continue;
+          }
+          if (stats.cache_misses == 1) solved_at[at] = snap->id();
+          if (stats.cache_hits == 1 && solved_at[at] != snap->id()) {
+            ++hits_across_publishes;
+          }
+          ExpectBitIdentical(fresh.Solve(k, box, cached), result);
+          if (testing::Test::HasFailure()) return;
+        }
+
+        // One delta of the round's kind, cycling through all four.
+        switch (publish % 4) {
+          case 0:  // weak inserts: dominated by much of the table
+            for (int i = 0; i < 3; ++i) {
+              Vec row(d);
+              for (size_t j = 0; j < d; ++j) row[j] = 0.2 * rng.Uniform();
+              own.push_back(catalog.StageInsert(row));
+            }
+            break;
+          case 1:  // a strong insert: likely a new skyband member
+            {
+              Vec row(d);
+              for (size_t j = 0; j < d; ++j) {
+                row[j] = 0.8 + 0.2 * rng.Uniform();
+              }
+              own.push_back(catalog.StageInsert(row));
+            }
+            break;
+          case 2:  // delete the writer's own oldest rows
+            for (int i = 0; i < 2 && !own.empty(); ++i) {
+              ASSERT_TRUE(catalog.StageDelete(own.front()));
+              own.erase(own.begin());
+            }
+            break;
+          case 3:  // delete a skyband member
+            {
+              const std::vector<int>& members = engine.KSkyband(k);
+              const int victim = members[static_cast<size_t>(rng.UniformInt(
+                  0, static_cast<int>(members.size()) - 1))];
+              ASSERT_TRUE(catalog.StageDelete(victim));
+              own.erase(std::remove(own.begin(), own.end(), victim),
+                        own.end());
+            }
+            break;
+        }
+        engine.SetSnapshot(catalog.Publish());
+      }
+    }
+  }
+  EXPECT_GT(hits_across_publishes, 0u) << "of " << queries << " queries";
+}
+
+// A writer publishing (inserts and skyband-member deletes) while readers
+// run cached SolveBatch over grid-aligned boxes. Every result must be
+// bit-identical to a cold solve at the snapshot it says it pinned.
+// Labeled `concurrency`, so CI repeats it under TSan.
+TEST(RegionCacheTest, ConcurrentPublishUnderCachedReaders) {
+  const double quantum = 1.0 / 256.0;
+  const Dataset data =
+      GenerateSynthetic(300, 3, Distribution::kIndependent, 78);
+  MutableCatalog catalog(data);
+  ToprrEngine engine(catalog.Current());
+  engine.EnableRegionCache({});
+
+  std::mutex versions_mu;
+  std::map<uint64_t, SnapshotPtr> versions;
+  versions[catalog.CurrentId()] = catalog.Current();
+
+  std::vector<ToprrQuery> queries;
+  for (int i = 0; i < 12; ++i) {
+    ToprrOptions options;
+    options.use_region_cache = true;
+    const PrefBox box =
+        GridBox(2, quantum, 8 + 4 * static_cast<uint64_t>(i % 4), 4);
+    queries.push_back(ToprrQuery::FromBox(1 + 4 * (i % 3), box, options));
+  }
+
+  std::thread writer([&] {
+    Rng wrng(79);
+    for (int publish = 0; publish < 6; ++publish) {
+      for (int i = 0; i < 3; ++i) {
+        Vec row(3);
+        for (size_t j = 0; j < 3; ++j) row[j] = wrng.Uniform();
+        catalog.StageInsert(row);
+      }
+      if (publish % 2 == 1) {
+        const std::vector<int> members = engine.KSkyband(5);
+        catalog.StageDelete(members[static_cast<size_t>(wrng.UniformInt(
+            0, static_cast<int>(members.size()) - 1))]);
+      }
+      const SnapshotPtr next = catalog.Publish();
+      {
+        std::lock_guard<std::mutex> lock(versions_mu);
+        versions[next->id()] = next;
+      }
+      engine.SetSnapshot(next);
+    }
+  });
+
+  std::vector<std::vector<ToprrResult>> rounds;
+  for (int round = 0; round < 4; ++round) {
+    rounds.push_back(engine.SolveBatch(queries, 3));
+  }
+  writer.join();
+
+  for (const std::vector<ToprrResult>& round : rounds) {
+    ASSERT_EQ(round.size(), queries.size());
+    for (size_t i = 0; i < round.size(); ++i) {
+      SCOPED_TRACE(i);
+      ASSERT_FALSE(round[i].timed_out);
+      const auto it = versions.find(round[i].snapshot_id);
+      ASSERT_NE(it, versions.end())
+          << "result pinned an unknown snapshot version";
+      ToprrEngine cold(it->second);
+      ToprrQuery plain = queries[i];
+      plain.options.use_region_cache = false;
+      ExpectBitIdentical(cold.Solve(plain), round[i]);
+    }
+  }
 }
 
 }  // namespace

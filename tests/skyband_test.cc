@@ -1,6 +1,7 @@
 #include "topk/skyband.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -118,51 +119,126 @@ TEST(SkybandTest, PoolVariantMatchesFullScan) {
   }
 }
 
-TEST(SkybandTest, IncrementalMatchesRebuildAcrossDeltaMatrix) {
-  // Insert-only, non-member-delete-only, and mixed deltas, across dims
-  // and ks: the incremental state must be *bit-identical* (ids and
-  // counts) to a from-scratch rebuild over the new snapshot's live rows.
-  Rng rng(21);
-  for (const size_t d : {size_t{2}, size_t{4}}) {
-    for (const int k : {1, 3, 8}) {
-      for (const int pattern : {0, 1, 2}) {  // insert / delete / mixed
-        SCOPED_TRACE("d=" + std::to_string(d) + " k=" + std::to_string(k) +
-                     " pattern=" + std::to_string(pattern));
-        const Dataset ds = GenerateSynthetic(
-            300, d, Distribution::kIndependent,
-            static_cast<uint64_t>(100 + 10 * d + k + pattern));
-        MutableCatalog catalog(ds);
-        const SnapshotPtr v1 = catalog.Current();
-        KSkybandState state =
-            SortBasedKSkybandPool(v1->View(), v1->live_ids(), k);
+// Rows on a 1/8 grid, every fifth one a copy of an earlier row: exact
+// attribute-sum ties, equal rows that do not dominate each other, and
+// dominance chains that share coordinates.
+Dataset TieHeavyDataset(size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Dataset ds;
+  for (size_t i = 0; i < n; ++i) {
+    if (i % 5 == 4) {
+      const double* row = ds.Row(
+          static_cast<size_t>(rng.UniformInt(0, static_cast<int>(i) - 1)));
+      ds.Append(Vec(std::vector<double>(row, row + d)));
+      continue;
+    }
+    Vec row(d);
+    for (size_t j = 0; j < d; ++j) row[j] = std::floor(rng.Uniform() * 8) / 8;
+    ds.Append(row);
+  }
+  return ds;
+}
 
-        if (pattern != 1) {  // inserts
-          for (int i = 0; i < 15; ++i) {
-            Vec row(d);
-            for (size_t j = 0; j < d; ++j) row[j] = rng.Uniform();
-            catalog.StageInsert(row);
-          }
-        }
-        if (pattern != 0) {  // non-member deletes
-          int staged = 0;
-          for (int id = 0; id < 300 && staged < 10; ++id) {
-            if (!std::binary_search(state.ids.begin(), state.ids.end(),
-                                    id)) {
-              catalog.StageDelete(id);
-              ++staged;
+Vec RandomRow(size_t d, bool ties, Rng& rng) {
+  Vec row(d);
+  for (size_t j = 0; j < d; ++j) {
+    row[j] = ties ? std::floor(rng.Uniform() * 8) / 8 : rng.Uniform();
+  }
+  return row;
+}
+
+// Carries `state` across `snap`'s delta and asserts it equals a rebuild
+// over the snapshot's live rows, ids and counts bit for bit. Returns
+// whether the carry ran incrementally.
+bool ExpectCarriesExactly(const SnapshotPtr& snap, int k,
+                          KSkybandState* state) {
+  const bool incremental = KSkybandApplyDelta(
+      snap->View(), snap->live_ids(), k, snap->delta(), state);
+  const KSkybandState rebuilt =
+      SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
+  EXPECT_EQ(state->ids, rebuilt.ids);
+  EXPECT_EQ(state->counts, rebuilt.counts);
+  return incremental;
+}
+
+// Stages `count` deletes of live rows that are (member = true) or are
+// not skyband members, spread over the id range. Returns how many.
+int StageDeletes(MutableCatalog& catalog, const SnapshotPtr& snap,
+                 const std::vector<int>& members, bool member, int count,
+                 Rng& rng) {
+  std::vector<int> pool;
+  for (const int id : snap->live_ids()) {
+    if (std::binary_search(members.begin(), members.end(), id) == member) {
+      pool.push_back(id);
+    }
+  }
+  int staged = 0;
+  while (staged < count && !pool.empty()) {
+    const size_t at = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int>(pool.size()) - 1));
+    catalog.StageDelete(pool[at]);
+    pool.erase(pool.begin() + static_cast<ptrdiff_t>(at));
+    ++staged;
+  }
+  return staged;
+}
+
+TEST(SkybandTest, IncrementalMatchesRebuildAcrossDeltaMatrix) {
+  // Insert-only, non-member-delete-only, mixed, member-delete-only and
+  // mixed member-delete deltas, plus a bulk member delete, across dims,
+  // ks and a tie-heavy table: the carried state must be *bit-identical*
+  // (ids and counts) to a full rebuild over the new snapshot's
+  // live rows.
+  enum Pattern { kInsert, kDelete, kMixed, kMemberDelete, kMixedMember,
+                 kBulkMember };
+  Rng rng(21);
+  for (const bool ties : {false, true}) {
+    for (const size_t d : {size_t{2}, size_t{4}}) {
+      for (const int k : {1, 3, 8}) {
+        for (const Pattern pattern : {kInsert, kDelete, kMixed,
+                                      kMemberDelete, kMixedMember,
+                                      kBulkMember}) {
+          SCOPED_TRACE(testing::Message() << "ties=" << ties << " d=" << d
+                                          << " k=" << k
+                                          << " pattern=" << pattern);
+          const uint64_t seed = 100 + 10 * d + k + pattern;
+          const Dataset ds =
+              ties ? TieHeavyDataset(300, d, seed)
+                   : GenerateSynthetic(300, d, Distribution::kIndependent,
+                                       seed);
+          MutableCatalog catalog(ds);
+          const SnapshotPtr v1 = catalog.Current();
+          KSkybandState state =
+              SortBasedKSkybandPool(v1->View(), v1->live_ids(), k);
+
+          if (pattern == kInsert || pattern == kMixed ||
+              pattern == kMixedMember) {
+            for (int i = 0; i < 15; ++i) {
+              catalog.StageInsert(RandomRow(d, ties, rng));
             }
           }
-          ASSERT_EQ(staged, 10);
+          if (pattern == kDelete || pattern == kMixed ||
+              pattern == kMixedMember) {
+            ASSERT_EQ(StageDeletes(catalog, v1, state.ids, false, 10, rng),
+                      10);
+          }
+          const int members = static_cast<int>(state.ids.size());
+          int member_deletes = 0;
+          if (pattern == kMemberDelete || pattern == kMixedMember) {
+            member_deletes = std::min(3, members / 2);
+            ASSERT_GT(member_deletes, 0);
+          } else if (pattern == kBulkMember) {
+            member_deletes = members / 2 + 1;
+          }
+          ASSERT_EQ(StageDeletes(catalog, v1, state.ids, true,
+                                 member_deletes, rng),
+                    member_deletes);
+          const SnapshotPtr v2 = catalog.Publish();
+          ASSERT_NE(v2->id(), v1->id());
+          // Only a delete of more than half the members rebuilds.
+          EXPECT_EQ(ExpectCarriesExactly(v2, k, &state),
+                    pattern != kBulkMember);
         }
-        const SnapshotPtr v2 = catalog.Publish();
-        ASSERT_FALSE(
-            KSkybandDeleteHitsMember(v2->delta().deleted, state.ids));
-
-        KSkybandApplyInserts(v2->View(), k, v2->delta().inserted, &state);
-        const KSkybandState rebuilt =
-            SortBasedKSkybandPool(v2->View(), v2->live_ids(), k);
-        EXPECT_EQ(state.ids, rebuilt.ids);
-        EXPECT_EQ(state.counts, rebuilt.counts);
       }
     }
   }
@@ -170,36 +246,89 @@ TEST(SkybandTest, IncrementalMatchesRebuildAcrossDeltaMatrix) {
 
 TEST(SkybandTest, ChainedIncrementalPublishesStayExact) {
   // Several publishes applied one after the other onto the same carried
-  // state -- the induction step of the correctness argument.
-  const Dataset ds = GenerateSynthetic(250, 3, Distribution::kCorrelated,
-                                       22);
-  MutableCatalog catalog(ds);
-  const int k = 5;
-  SnapshotPtr snap = catalog.Current();
-  KSkybandState state =
-      SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
-  Rng rng(23);
-  for (int round = 0; round < 5; ++round) {
-    SCOPED_TRACE(round);
-    for (int i = 0; i < 6; ++i) {
-      Vec row(3);
-      for (size_t j = 0; j < 3; ++j) row[j] = rng.Uniform();
-      catalog.StageInsert(row);
-    }
-    snap = catalog.Publish();
-    KSkybandApplyInserts(snap->View(), k, snap->delta().inserted, &state);
-    const KSkybandState rebuilt =
+  // state -- the induction step of the correctness argument. Every
+  // other round also deletes skyband members.
+  for (const bool ties : {false, true}) {
+    SCOPED_TRACE(ties);
+    const Dataset ds =
+        ties ? TieHeavyDataset(250, 3, 22)
+             : GenerateSynthetic(250, 3, Distribution::kCorrelated, 22);
+    MutableCatalog catalog(ds);
+    const int k = 5;
+    SnapshotPtr snap = catalog.Current();
+    KSkybandState state =
         SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
-    ASSERT_EQ(state.ids, rebuilt.ids);
-    ASSERT_EQ(state.counts, rebuilt.counts);
+    Rng rng(23);
+    for (int round = 0; round < 8; ++round) {
+      SCOPED_TRACE(round);
+      for (int i = 0; i < 6; ++i) catalog.StageInsert(RandomRow(3, ties, rng));
+      if (round % 2 == 1) {
+        StageDeletes(catalog, snap, state.ids, true, 2, rng);
+        StageDeletes(catalog, snap, state.ids, false, 2, rng);
+      }
+      snap = catalog.Publish();
+      EXPECT_TRUE(ExpectCarriesExactly(snap, k, &state));
+      if (testing::Test::HasFailure()) return;
+    }
   }
 }
 
-TEST(SkybandTest, DeleteHitsMemberDetection) {
-  const std::vector<int> members = {2, 5, 9};
-  EXPECT_FALSE(KSkybandDeleteHitsMember({}, members));
-  EXPECT_FALSE(KSkybandDeleteHitsMember({0, 3, 10}, members));
-  EXPECT_TRUE(KSkybandDeleteHitsMember({3, 5}, members));
+TEST(SkybandTest, EqualSumDominatorsAreCounted) {
+  // 1.0 + 1e-17 rounds to 1.0: row 0 dominates row 1 at an equal
+  // attribute sum. Deleting row 2 promotes row 1, whose count must
+  // include its equal-sum dominator, as the rebuild's scan does.
+  MutableCatalog catalog(Dataset::FromRows(
+      {Vec{1.0, 1e-17}, Vec{1.0, 0.0}, Vec{1.0, 0.5}}));
+  const int k = 2;
+  SnapshotPtr snap = catalog.Current();
+  KSkybandState state =
+      SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
+  ASSERT_EQ(state.ids, (std::vector<int>{0, 2}));
+  catalog.StageDelete(2);
+  snap = catalog.Publish();
+  EXPECT_TRUE(ExpectCarriesExactly(snap, k, &state));
+  EXPECT_EQ(state.ids, (std::vector<int>{0, 1}));
+  EXPECT_EQ(state.counts, (std::vector<int>{0, 1}));
+}
+
+TEST(SkybandTest, RandomizedDeltasStayExact) {
+  // Random deltas of inserts, member deletes and non-member deletes over
+  // tie-heavy and continuous tables, d 2-5, k 1/3/10.
+  Rng rng(24);
+  for (const bool ties : {false, true}) {
+    for (size_t d = 2; d <= 5; ++d) {
+      for (const int k : {1, 3, 10}) {
+        SCOPED_TRACE(testing::Message() << "ties=" << ties << " d=" << d
+                                        << " k=" << k);
+        const uint64_t seed = 300 + 10 * d + k;
+        const Dataset ds =
+            ties ? TieHeavyDataset(200, d, seed)
+                 : GenerateSynthetic(200, d, Distribution::kIndependent,
+                                     seed);
+        MutableCatalog catalog(ds);
+        SnapshotPtr snap = catalog.Current();
+        KSkybandState state =
+            SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
+        for (int round = 0; round < 6; ++round) {
+          const int inserts = static_cast<int>(rng.UniformInt(0, 4));
+          for (int i = 0; i < inserts; ++i) {
+            catalog.StageInsert(RandomRow(d, ties, rng));
+          }
+          StageDeletes(catalog, snap, state.ids, true,
+                       static_cast<int>(rng.UniformInt(0, 2)), rng);
+          StageDeletes(catalog, snap, state.ids, false,
+                       static_cast<int>(rng.UniformInt(0, 3)), rng);
+          const SnapshotPtr next = catalog.Publish();
+          // An empty delta republishes the unchanged snapshot, whose
+          // delta() is the one already applied.
+          if (next == snap) continue;
+          snap = next;
+          ExpectCarriesExactly(snap, k, &state);
+          if (testing::Test::HasFailure()) return;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
