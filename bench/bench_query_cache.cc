@@ -17,11 +17,20 @@
 // bench-smoke job gates `query_cache/warm/d:4/k:10` at >= 2x
 // (ci/check_bench_smoke.py --cache).
 //
+// The `distinct` series holds the other side of cache admission: traffic
+// in which no box repeats. Every query is a first sighting, which must
+// cost what a cache-off solve does. Each round replays a fresh slice of
+// distinct random boxes through a cache-on engine and the same slice
+// through a cache-off one, interleaved; `overhead_vs_cold` is the ratio
+// of their median round times, gated at <= 1.15 for d:4/k:10.
+//
 // Emit the committed JSON trajectory with the stock flags:
 //   bench_query_cache --benchmark_format=json
 //                     --benchmark_out=BENCH_query_cache.json
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -199,6 +208,111 @@ void RunPoint(::benchmark::State& state, const ReplayConfig& config,
   }
 }
 
+// Distinct random boxes of the default side (canonical boxes pairwise
+// different, so none is ever sighted twice).
+std::vector<ToprrQuery> BuildDistinct(const ReplayConfig& config,
+                                      size_t count, uint64_t seed) {
+  Rng rng(seed);
+  std::set<std::vector<int64_t>> cells;
+  std::vector<ToprrQuery> queries;
+  while (queries.size() < count) {
+    const PrefBox box =
+        RandomPrefBox(config.d - 1, GlobalConfig().default_sigma(), rng);
+    std::vector<int64_t> key;
+    for (size_t j = 0; j < box.dim(); ++j) {
+      key.push_back(static_cast<int64_t>(std::floor(box.lo[j] / kQuantum)));
+      key.push_back(static_cast<int64_t>(std::ceil(box.hi[j] / kQuantum)));
+    }
+    if (!cells.insert(std::move(key)).second) continue;
+    ToprrOptions options;
+    options.build_geometry = false;
+    options.use_region_cache = true;
+    queries.push_back(ToprrQuery::FromBox(config.k, box, options));
+  }
+  return queries;
+}
+
+void RunDistinct(::benchmark::State& state, const ReplayConfig& config) {
+  const BenchConfig& global = GlobalConfig();
+  const Dataset& data = CachedSynthetic(config.n, config.d,
+                                        Distribution::kIndependent,
+                                        global.seed);
+  const size_t per_round = static_cast<size_t>(config.queries);
+  const size_t rounds = kWarmupRounds + kMeasuredRounds;
+  const std::vector<ToprrQuery> cached =
+      BuildDistinct(config, rounds * per_round, global.seed * 131 + config.d);
+  std::vector<ToprrQuery> plain = cached;
+  for (ToprrQuery& query : plain) query.options.use_region_cache = false;
+
+  // Measured round times of every iteration; the counters report medians
+  // over all of them.
+  std::vector<double> on_seconds;
+  std::vector<double> off_seconds;
+  uint64_t deferred = 0;
+  uint64_t classified = 0;
+  for (auto _ : state) {
+    // Fresh engines per iteration keep every box a first sighting; the
+    // skybands are built before any round is timed.
+    const SnapshotPtr snapshot = DatasetSnapshot::FromDataset(data);
+    ToprrEngine on(snapshot);
+    on.EnableRegionCache({});
+    ToprrEngine off(snapshot);
+    on.KSkyband(config.k);
+    off.KSkyband(config.k);
+    double iteration_seconds = 0.0;
+    for (size_t r = 0; r < rounds; ++r) {
+      const auto slice = [&](const std::vector<ToprrQuery>& all) {
+        return std::vector<ToprrQuery>(
+            all.begin() + static_cast<std::ptrdiff_t>(r * per_round),
+            all.begin() + static_cast<std::ptrdiff_t>((r + 1) * per_round));
+      };
+      const std::vector<ToprrQuery> on_batch = slice(cached);
+      const std::vector<ToprrQuery> off_batch = slice(plain);
+      Timer off_timer;
+      const std::vector<ToprrResult> off_results =
+          off.SolveBatch(off_batch, 1);
+      const double off_round = off_timer.Seconds();
+      Timer on_timer;
+      const std::vector<ToprrResult> results = on.SolveBatch(on_batch, 1);
+      const double on_round = on_timer.Seconds();
+      ::benchmark::DoNotOptimize(off_results);
+      ::benchmark::DoNotOptimize(results);
+      for (const ToprrResult& result : results) {
+        deferred += result.stats.scheduler.cache_deferred;
+        classified += result.stats.scheduler.cache_hits +
+                      result.stats.scheduler.cache_misses;
+      }
+      if (r < static_cast<size_t>(kWarmupRounds)) continue;
+      on_seconds.push_back(on_round);
+      off_seconds.push_back(off_round);
+      iteration_seconds += on_round / kMeasuredRounds;
+    }
+    state.SetIterationTime(iteration_seconds);
+  }
+
+  const auto median = [](std::vector<double> values) {
+    if (values.empty()) return 0.0;
+    std::sort(values.begin(), values.end());
+    return values[values.size() / 2];
+  };
+  const double on_median = median(on_seconds);
+  const double off_median = median(off_seconds);
+
+  state.counters["qps"] =
+      on_median > 0.0 ? static_cast<double>(per_round) / on_median : 0.0;
+  state.counters["cold_round_median_ms"] = off_median * 1e3;
+  state.counters["round_median_ms"] = on_median * 1e3;
+  state.counters["deferred_rate"] =
+      classified > 0 ? static_cast<double>(deferred) /
+                           static_cast<double>(classified)
+                     : 0.0;
+  // As for the warm series: a replay that bypassed the cache gets no
+  // ratio, which fails the CI gate loudly.
+  if (classified > 0 && off_median > 0.0) {
+    state.counters["overhead_vs_cold"] = on_median / off_median;
+  }
+}
+
 void RegisterAll() {
   // The cold series registers (and runs) first so every warm point finds
   // its baseline.
@@ -213,6 +327,13 @@ void RegisterAll() {
           })
           ->UseManualTime();
     }
+  }
+  for (const ReplayConfig& config : kConfigs) {
+    const std::string name = "query_cache/distinct/" + config.Label();
+    ::benchmark::RegisterBenchmark(
+        name.c_str(),
+        [config](::benchmark::State& state) { RunDistinct(state, config); })
+        ->UseManualTime();
   }
 }
 

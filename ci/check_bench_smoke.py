@@ -31,7 +31,11 @@ gated configuration `query_cache/warm/d:4/k:10` is missing, its
 `speedup_vs_cold` counter is below the floor (BENCH_CACHE_FLOOR env var,
 default 2.0), its zipf-replay `hit_rate` is below 0.5, or it saved zero
 partition tasks -- the warm cross-query region cache must beat the
-cache-off replay of the identical query sequence.
+cache-off replay of the identical query sequence. It also fails when
+`query_cache/distinct/d:4/k:10` is missing or its `overhead_vs_cold`
+counter is above 1.15 -- under cache admission, all-distinct traffic
+(every query a first sighting) must cost what the cache-off replay of
+the same boxes does.
 
 --snapshot mode reads a bench_snapshot_update JSON file and fails when
 the gated configuration `snapshot_update/incremental/d:4/k:10/delta:1pct`
@@ -57,6 +61,8 @@ SERIES = re.compile(r"^parallel_scale/scheduler_deep/threads:(\d+)(/|$)")
 KERNEL_LARGE = re.compile(r"^score_kernel/soa/c:4096/v:16/d:4(/|$)")
 GEOM_LARGE = re.compile(r"^region_split/flat/d:4/r:8(/|$)")
 CACHE_GATED = re.compile(r"^query_cache/warm/d:4/k:10(/|$)")
+CACHE_DISTINCT = re.compile(r"^query_cache/distinct/d:4/k:10(/|$)")
+DISTINCT_CEILING = 1.15
 SNAPSHOT_GATED = re.compile(
     r"^snapshot_update/incremental/d:4/k:10/delta:1pct(/|$)")
 
@@ -243,7 +249,33 @@ def evaluate_cache(report, floor):
             "zero partition tasks saved: hits never clipped a stored "
             "region (cache plumbing broken?)"
         )
-    return True, summary
+    distinct = None
+    for bench in benchmarks:
+        if isinstance(bench, dict) and CACHE_DISTINCT.match(
+                bench.get("name", "")):
+            distinct = bench
+            break
+    if distinct is None:
+        return False, (
+            "distinct cache config missing: no benchmark matches "
+            "query_cache/distinct/d:4/k:10"
+        )
+    overhead = distinct.get("overhead_vs_cold")
+    if overhead is None:
+        return False, (
+            "distinct cache config has no overhead_vs_cold counter (did "
+            "every query get classified?)"
+        )
+    if overhead > DISTINCT_CEILING:
+        return False, (
+            f"all-distinct replay costs {overhead:.2f}x the cache-off "
+            f"replay, above the {DISTINCT_CEILING}x ceiling: first "
+            "sightings are not solved as with the cache off"
+        )
+    return True, (
+        f"{summary}; all-distinct replay {overhead:.2f}x cache-off "
+        f"(ceiling {DISTINCT_CEILING}x)"
+    )
 
 
 def evaluate_snapshot(report, floor):
@@ -406,11 +438,15 @@ def self_test():
     ok, message = evaluate_geometry([1, 2], 1.2)
     assert not ok, "non-object geometry JSON must fail, not crash"
 
-    def cache_report(name, counters):
+    def cache_report(name, counters, distinct=None):
+        if distinct is None:
+            distinct = {"overhead_vs_cold": 1.02, "deferred_rate": 1.0}
         return {
             "benchmarks": [
                 {"name": "query_cache/cold/d:4/k:10/manual_time"},
                 {"name": name + "/manual_time", **counters},
+                {"name": "query_cache/distinct/d:4/k:10/manual_time",
+                 **distinct},
             ]
         }
 
@@ -450,6 +486,23 @@ def self_test():
                      {"speedup_vs_cold": 3.0, "hit_rate": 0.99,
                       "tasks_saved": 0.0}), 2.0)
     assert not ok and "zero partition tasks saved" in message
+
+    healthy_warm = {"speedup_vs_cold": 3.0, "hit_rate": 0.99,
+                    "tasks_saved": 1.0}
+    ok, message = evaluate_cache(
+        cache_report("query_cache/warm/d:4/k:10", healthy_warm,
+                     {"overhead_vs_cold": 1.4, "deferred_rate": 1.0}), 2.0)
+    assert not ok and "above the 1.15x ceiling" in message
+
+    ok, message = evaluate_cache(
+        cache_report("query_cache/warm/d:4/k:10", healthy_warm,
+                     {"deferred_rate": 1.0}), 2.0)
+    assert not ok and "no overhead_vs_cold" in message
+
+    no_distinct = cache_report("query_cache/warm/d:4/k:10", healthy_warm)
+    no_distinct["benchmarks"].pop()
+    ok, message = evaluate_cache(no_distinct, 2.0)
+    assert not ok and "distinct cache config missing" in message
 
     ok, message = evaluate_cache([1, 2], 2.0)
     assert not ok, "non-object cache JSON must fail, not crash"

@@ -95,7 +95,8 @@ int main(int argc, char** argv) {
                 "print scheduler telemetry (per-worker tasks/steals)");
   flags.AddBool("cache", &cache,
                 "batch mode: serve queries through the cross-query region "
-                "cache (repeated --wr boxes hit after the first solve)");
+                "cache (a repeated --wr box is inserted on its second "
+                "solve and hits from the third)");
   flags.AddBool("help", &help, "print usage");
   if (!flags.Parse(&argc, argv)) return 1;
   if (help) {
@@ -204,6 +205,7 @@ int main(int argc, char** argv) {
       uint64_t cache_hits = 0;
       uint64_t cache_partial = 0;
       uint64_t cache_misses = 0;
+      uint64_t cache_deferred = 0;
       uint64_t cache_tasks_saved = 0;
       for (const ToprrResult& r : results) {
         executed += r.stats.scheduler.TotalExecuted();
@@ -217,6 +219,7 @@ int main(int argc, char** argv) {
         cache_hits += r.stats.scheduler.cache_hits;
         cache_partial += r.stats.scheduler.cache_partial_hits;
         cache_misses += r.stats.scheduler.cache_misses;
+        cache_deferred += r.stats.scheduler.cache_deferred;
         cache_tasks_saved += r.stats.scheduler.cache_tasks_saved;
       }
       std::printf("scheduler totals over the batch: executed=%llu "
@@ -235,10 +238,12 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(geom_allocs));
       if (cache) {
         std::printf("region-cache totals over the batch: hits=%llu "
-                    "partial=%llu misses=%llu tasks_saved=%llu\n",
+                    "partial=%llu misses=%llu deferred=%llu "
+                    "tasks_saved=%llu\n",
                     static_cast<unsigned long long>(cache_hits),
                     static_cast<unsigned long long>(cache_partial),
                     static_cast<unsigned long long>(cache_misses),
+                    static_cast<unsigned long long>(cache_deferred),
                     static_cast<unsigned long long>(cache_tasks_saved));
       }
     }

@@ -88,7 +88,8 @@ std::string SchedulerStats::DebugString() const {
     const char* kind = cache_hits > 0
                            ? "hit"
                            : (cache_partial_hits > 0 ? "partial" : "miss");
-    out << " cache=" << kind << " cache_tasks_saved=" << cache_tasks_saved
+    out << " cache=" << kind << " cache_deferred=" << cache_deferred
+        << " cache_tasks_saved=" << cache_tasks_saved
         << " cache_evicted_bytes=" << cache_evicted_bytes;
   }
   for (size_t i = 0; i < workers.size(); ++i) {

@@ -50,8 +50,10 @@ struct SchedulerStats {
   // cells were reused, and the bytes the accompanying insert evicted.
   // All zero when the cache is disabled or bypassed.
   uint64_t cache_hits = 0;          // solved by clipping a cached superset
-  uint64_t cache_partial_hits = 0;  // resumed from an overlap's frontier
-  uint64_t cache_misses = 0;        // solved cold (and inserted)
+  uint64_t cache_partial_hits = 0;  // always 0; kept for the wire class
+  uint64_t cache_misses = 0;        // no containing entry: solved cold
+  uint64_t cache_deferred = 0;      // of misses: a first sighting, solved
+                                    // on the exact box and not inserted
   uint64_t cache_tasks_saved = 0;   // partition tasks avoided via reuse
   uint64_t cache_evicted_bytes = 0; // LRU bytes evicted by this insert
 

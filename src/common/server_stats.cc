@@ -18,6 +18,7 @@ std::string ServerStatsSnapshot::DebugString() const {
     out << " cache_hits=" << cache_hits
         << " cache_partial=" << cache_partial_hits
         << " cache_misses=" << cache_misses
+        << " cache_deferred=" << cache_deferred
         << " cache_tasks_saved=" << cache_tasks_saved;
   }
   if (mutations_staged + mutations_rejected + publishes_applied +
@@ -73,6 +74,7 @@ ServerStatsSnapshot ServerStats::Snapshot() const {
   snap.cache_partial_hits =
       cache_partial_hits_.load(std::memory_order_relaxed);
   snap.cache_misses = cache_misses_.load(std::memory_order_relaxed);
+  snap.cache_deferred = cache_deferred_.load(std::memory_order_relaxed);
   snap.cache_tasks_saved = cache_tasks_saved_.load(std::memory_order_relaxed);
   snap.mutations_staged = mutations_staged_.load(std::memory_order_relaxed);
   snap.mutations_rejected =

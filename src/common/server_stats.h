@@ -35,6 +35,10 @@ struct ServerStatsSnapshot {
   uint64_t cache_hits = 0;
   uint64_t cache_partial_hits = 0;
   uint64_t cache_misses = 0;
+  // Of the misses: first sightings solved on the exact box and not
+  // inserted (cache admission). All misses deferred means all-distinct
+  // traffic, not a broken cache.
+  uint64_t cache_deferred = 0;
   uint64_t cache_tasks_saved = 0;  // partition tasks avoided via reuse
 
   // Protocol v3 mutation path (zero on a read-only workload).
@@ -100,6 +104,7 @@ class ServerStats {
   void OnCacheHit() { Bump(cache_hits_); }
   void OnCachePartialHit() { Bump(cache_partial_hits_); }
   void OnCacheMiss() { Bump(cache_misses_); }
+  void OnCacheDeferred() { Bump(cache_deferred_); }
   void OnCacheTasksSaved(uint64_t count) {
     cache_tasks_saved_.fetch_add(count, std::memory_order_relaxed);
   }
@@ -169,6 +174,7 @@ class ServerStats {
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> cache_partial_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
+  std::atomic<uint64_t> cache_deferred_{0};
   std::atomic<uint64_t> cache_tasks_saved_{0};
   std::atomic<uint64_t> mutations_staged_{0};
   std::atomic<uint64_t> mutations_rejected_{0};

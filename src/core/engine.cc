@@ -12,9 +12,7 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/result_region.h"
-#include "core/scheduler.h"
 #include "geom/hyperplane.h"
-#include "pref/flat_region.h"
 #include "topk/rskyband.h"
 #include "topk/skyband.h"
 
@@ -221,10 +219,18 @@ bool BoxIsCacheable(const PrefBox& box) {
 // epoch. Equal epochs mean equal skyband rows, and the solve reads nothing
 // else, so entries survive every publish that leaves the skyband alone;
 // when it changes they stop matching and age out of the LRU.
-std::string SignatureFor(const ToprrOptions& options, uint64_t epoch) {
-  std::string signature = CacheSignature(options);
+std::string SignatureFor(const std::string& options_signature,
+                         uint64_t epoch) {
+  std::string signature = options_signature;
   signature.append(reinterpret_cast<const char*>(&epoch), sizeof(epoch));
   return signature;
+}
+
+// A first sighting, solved on the exact box as with the cache off: a miss
+// that inserted nothing.
+void StampDeferred(ToprrResult* result) {
+  result->stats.scheduler.cache_misses = 1;
+  result->stats.scheduler.cache_deferred = 1;
 }
 
 }  // namespace
@@ -250,9 +256,12 @@ ToprrResult ToprrEngine::Solve(int k, const PrefRegion& region,
 ToprrResult ToprrEngine::SolveBox(const SnapshotPtr& snap, int k,
                                   const PrefBox& box,
                                   const ToprrOptions& options) {
+  bool deferred = false;
   if (options.use_region_cache && region_cache_ != nullptr &&
       BoxIsCacheable(box)) {
-    return SolveCachedBox(snap, k, box, options);
+    std::optional<ToprrResult> cached = SolveCachedBox(snap, k, box, options);
+    if (cached.has_value()) return std::move(*cached);
+    deferred = true;
   }
   const SkybandEntryPtr skyband = GetSkyband(snap, k);
   const DatasetView view = snap->View();
@@ -263,18 +272,23 @@ ToprrResult ToprrEngine::SolveBox(const SnapshotPtr& snap, int k,
   ToprrResult result = SolveToprrWithCandidates(
       view, k, PrefRegion::FromBox(box), candidates, options);
   result.stats.filter_seconds = filter_timer.Seconds();
+  if (deferred) StampDeferred(&result);
   return result;
 }
 
 ToprrResult ToprrEngine::SolveRegion(const SnapshotPtr& snap, int k,
                                      const PrefRegion& region,
                                      const ToprrOptions& options) {
+  bool deferred = false;
   if (options.use_region_cache && region_cache_ != nullptr) {
     // Wire queries arrive as general PrefRegions; recover the box when
     // the region is exactly one so serving traffic reaches the cache.
     const std::optional<PrefBox> box = BoxFromRegion(region);
     if (box.has_value() && BoxIsCacheable(*box)) {
-      return SolveCachedBox(snap, k, *box, options);
+      std::optional<ToprrResult> cached =
+          SolveCachedBox(snap, k, *box, options);
+      if (cached.has_value()) return std::move(*cached);
+      deferred = true;
     }
   }
   const SkybandEntryPtr skyband = GetSkyband(snap, k);
@@ -287,16 +301,19 @@ ToprrResult ToprrEngine::SolveRegion(const SnapshotPtr& snap, int k,
   ToprrResult result =
       SolveToprrWithCandidates(view, k, region, candidates, options);
   result.stats.filter_seconds = filter_timer.Seconds();
+  if (deferred) StampDeferred(&result);
   return result;
 }
 
-ToprrResult ToprrEngine::SolveCachedBox(const SnapshotPtr& snap, int k,
-                                        const PrefBox& box,
-                                        const ToprrOptions& options) {
+std::optional<ToprrResult> ToprrEngine::SolveCachedBox(
+    const SnapshotPtr& snap, int k, const PrefBox& box,
+    const ToprrOptions& options) {
   RegionCache& cache = *region_cache_;
   Timer total;
   const SkybandEntryPtr skyband = GetSkyband(snap, k);
-  const std::string signature = SignatureFor(options, skyband->epoch);
+  const std::string options_signature = CacheSignature(options);
+  const std::string signature =
+      SignatureFor(options_signature, skyband->epoch);
   if (std::shared_ptr<const RegionCacheEntry> entry =
           cache.FindContaining(k, signature, box)) {
     ToprrResult result = AssembleFromCells(snap, entry->cells,
@@ -307,17 +324,8 @@ ToprrResult ToprrEngine::SolveCachedBox(const SnapshotPtr& snap, int k,
     result.stats.total_seconds = total.Seconds();
     return result;
   }
-  if (cache.config().enable_partial) {
-    if (std::shared_ptr<const RegionCacheEntry> entry =
-            cache.FindOverlap(k, signature, box)) {
-      ToprrResult result =
-          SolvePartialOverlap(snap, k, box, options, *skyband,
-                              std::move(entry));
-      result.stats.total_seconds = total.Seconds();
-      return result;
-    }
-  }
   cache.RecordMiss();
+  if (!cache.Admit(k, options_signature, box)) return std::nullopt;
   ToprrResult result =
       SolveColdAndInsert(snap, k, box, options, *skyband, signature);
   result.stats.total_seconds = total.Seconds();
@@ -340,80 +348,6 @@ ToprrResult ToprrEngine::AssembleFromCells(
   AssembleResultRegion(snap->View(), candidates, k, result.vall, options,
                        &result);
   result.stats.assemble_seconds = phase.Seconds();
-  return result;
-}
-
-ToprrResult ToprrEngine::SolvePartialOverlap(
-    const SnapshotPtr& snap, int k, const PrefBox& box,
-    const ToprrOptions& options, const SkybandEntry& skyband,
-    std::shared_ptr<const RegionCacheEntry> entry) {
-  const std::optional<PrefBox> core = IntersectBoxes(box, entry->box);
-  CHECK(core.has_value());  // FindOverlap guarantees positive widths
-  const std::vector<PrefBox> remainder = GuillotineRemainder(box, *core);
-  const DatasetView view = snap->View();
-
-  // Fresh candidates for the whole query box: a valid superset for the
-  // frontier sub-boxes and for the reused core alike.
-  Timer filter_timer;
-  std::vector<int> candidates =
-      options.use_rskyband_filter ? RSkyband(view, box, k, &skyband.ids)
-                                  : skyband.ids;
-  const double filter_seconds = filter_timer.Seconds();
-
-  // Resume the uncovered remainder as a scheduler frontier. Root ids sit
-  // in one power-of-two band (base .. base + n - 1, base = smallest
-  // power of two >= n), so every root's heap-path subtree is disjoint
-  // and the id-ordered merge stays deterministic.
-  Timer phase;
-  uint64_t base = 1;
-  while (base < remainder.size()) base <<= 1;
-  std::vector<RegionTask> roots;
-  roots.reserve(remainder.size());
-  for (size_t i = 0; i < remainder.size(); ++i) {
-    RegionTask task;
-    task.id = base + i;
-    task.region = FlatRegion::FromBox(remainder[i]);
-    task.candidates = candidates;
-    task.k = k;
-    roots.push_back(std::move(task));
-  }
-  const PartitionConfig config = PartitionConfigFromOptions(options);
-  PartitionScheduler scheduler(view, config);
-  PartitionOutput frontier = scheduler.RunFrontier(std::move(roots));
-
-  ToprrResult result;
-  result.stats.candidates_after_filter = candidates.size();
-  result.stats.filter_seconds = filter_seconds;
-  result.stats.partition_seconds = phase.Seconds();
-  result.stats.regions_tested = frontier.regions_tested;
-  result.stats.regions_accepted = frontier.regions_accepted;
-  result.stats.regions_split = frontier.regions_split;
-  result.stats.kipr_accepts = frontier.kipr_accepts;
-  result.stats.lemma7_accepts = frontier.lemma7_accepts;
-  result.stats.lemma5_prunes = frontier.lemma5_prunes;
-  result.stats.scheduler = std::move(frontier.scheduler);
-  result.stats.scheduler.cache_partial_hits = 1;
-  if (frontier.timed_out) {
-    result.timed_out = true;
-    result.cancelled = frontier.cancelled;
-    return result;
-  }
-
-  // Merge: reused core cells (stored id order) first, then the frontier
-  // vall -- deterministic for a given cache state.
-  GeomArena arena;
-  std::vector<Vec> vall;
-  const size_t reused =
-      AppendCellsClippedToBox(entry->cells, *core, options.eps, &arena,
-                              &vall);
-  result.stats.scheduler.cache_tasks_saved = reused;
-  for (Vec& v : frontier.vall) vall.push_back(std::move(v));
-  Timer assemble;
-  result.stats.vall_raw = vall.size();
-  result.vall = DedupVertices(vall);
-  result.stats.vall_unique = result.vall.size();
-  AssembleResultRegion(view, candidates, k, result.vall, options, &result);
-  result.stats.assemble_seconds = assemble.Seconds();
   return result;
 }
 
@@ -484,7 +418,7 @@ ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
 
   // Assemble the query's own result from the entry cells -- the same
   // tail as a cache hit, which is what makes hits bit-identical to the
-  // miss that populated them.
+  // admitting miss that populated them.
   ToprrResult result = AssembleFromCells(snap, entry->cells,
                                          entry->candidates, k, box,
                                          options);

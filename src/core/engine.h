@@ -52,6 +52,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -156,9 +157,9 @@ class ToprrEngine {
   /// Enables the cross-query region cache (core/region_cache.h).
   /// Queries opt in per-solve via ToprrOptions::use_region_cache; box
   /// queries (including PrefRegion queries that are exact boxes) inside
-  /// the preference simplex are then served by cached-cell clipping or
-  /// frontier resumption. Call before the first query; replacing an
-  /// active cache mid-traffic is not supported.
+  /// the preference simplex are then served by cached-cell clipping once
+  /// their canonical box has been admitted. Call before the first query;
+  /// replacing an active cache mid-traffic is not supported.
   void EnableRegionCache(const RegionCacheConfig& config = {});
 
   /// The enabled region cache, or null. Entries pin their payloads via
@@ -216,29 +217,29 @@ class ToprrEngine {
                           const PrefRegion& region,
                           const ToprrOptions& options);
 
-  /// The cached-box solve pipeline: containment hit (clip stored cells),
-  /// partial overlap (clip the core, resume the remainder as a scheduler
-  /// frontier), or miss (solve the canonical box, insert, clip). The box
-  /// must be non-degenerate and inside the preference simplex.
-  ToprrResult SolveCachedBox(const SnapshotPtr& snap, int k,
-                             const PrefBox& box,
-                             const ToprrOptions& options);
+  /// The cached-box solve pipeline (it fetches the k-skyband first, for
+  /// its epoch):
+  ///  * containment hit: clip the stored cells of an entry whose box
+  ///    contains `box`;
+  ///  * repeat sighting (RegionCache::Admit says yes): solve the
+  ///    canonical box, insert it, and clip it like a hit;
+  ///  * first sighting: nullopt. The caller solves the query exactly as
+  ///    with the cache off, so the answer is bit-identical to a cache-off
+  ///    solve, and counts it as a deferred miss.
+  /// The box must be non-degenerate and inside the preference simplex.
+  std::optional<ToprrResult> SolveCachedBox(const SnapshotPtr& snap, int k,
+                                            const PrefBox& box,
+                                            const ToprrOptions& options);
 
   /// Clips `cells` to `box` and runs dedup + assembly under `candidates`
-  /// -- the shared tail of the hit and miss paths (hit == miss
-  /// bit-identity holds because both end here).
+  /// -- the shared tail of the hit and admitting-miss paths. A hit is
+  /// bit-identical to the admitting miss of its canonical box because
+  /// both end here.
   ToprrResult AssembleFromCells(const SnapshotPtr& snap,
                                 const std::vector<FlatCell>& cells,
                                 const std::vector<int>& candidates, int k,
                                 const PrefBox& box,
                                 const ToprrOptions& options);
-
-  ToprrResult SolvePartialOverlap(const SnapshotPtr& snap, int k,
-                                  const PrefBox& box,
-                                  const ToprrOptions& options,
-                                  const SkybandEntry& skyband,
-                                  std::shared_ptr<const RegionCacheEntry>
-                                      entry);
 
   ToprrResult SolveColdAndInsert(const SnapshotPtr& snap, int k,
                                  const PrefBox& box,

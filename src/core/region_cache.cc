@@ -31,17 +31,6 @@ bool BoxContains(const PrefBox& outer, const PrefBox& inner) {
   return true;
 }
 
-double OverlapVolume(const PrefBox& a, const PrefBox& b) {
-  double volume = 1.0;
-  for (size_t j = 0; j < a.dim(); ++j) {
-    const double width =
-        std::min(a.hi[j], b.hi[j]) - std::max(a.lo[j], b.lo[j]);
-    if (width <= 0.0) return 0.0;
-    volume *= width;
-  }
-  return volume;
-}
-
 }  // namespace
 
 std::string CacheSignature(const ToprrOptions& options) {
@@ -57,7 +46,10 @@ std::string CacheSignature(const ToprrOptions& options) {
   return signature;
 }
 
-RegionCache::RegionCache(const RegionCacheConfig& config) : config_(config) {
+RegionCache::RegionCache(const RegionCacheConfig& config)
+    : config_(config),
+      doorkeeper_(std::make_unique<std::atomic<uint64_t>[]>(
+          kDoorkeeperSlots)) {
   CHECK_GT(config_.num_shards, 0u);
   CHECK_GT(config_.quantum, 0.0);
   shards_.reserve(config_.num_shards);
@@ -143,33 +135,19 @@ std::shared_ptr<const RegionCacheEntry> RegionCache::FindContaining(
   return nullptr;
 }
 
-std::shared_ptr<const RegionCacheEntry> RegionCache::FindOverlap(
-    int k, const std::string& signature, const PrefBox& box) {
-  if (!config_.enable_partial) return nullptr;
-  std::shared_ptr<const RegionCacheEntry> best;
-  double best_volume = 0.0;
-  size_t probed = 0;
-  for (std::unique_ptr<Shard>& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin();
-         it != shard.lru.end() && probed < config_.max_probe; ++it) {
-      ++probed;
-      const std::shared_ptr<const RegionCacheEntry>& entry = it->second;
-      if (entry->k != k || entry->signature != signature ||
-          entry->box.dim() != box.dim()) {
-        continue;
-      }
-      const double volume = OverlapVolume(entry->box, box);
-      if (volume > best_volume) {
-        best_volume = volume;
-        best = entry;
-      }
-    }
-    if (probed >= config_.max_probe) break;
-  }
-  if (best != nullptr) partial_hits_.fetch_add(1, std::memory_order_relaxed);
-  return best;
+bool RegionCache::Admit(int k, const std::string& options_signature,
+                        const PrefBox& box) {
+  const std::string key = KeyFor(k, options_signature, Canonicalize(box));
+  uint64_t tag = std::hash<std::string>{}(key);
+  if (tag == 0) tag = 1;  // 0 marks an empty slot
+  std::atomic<uint64_t>& slot = doorkeeper_[tag & (kDoorkeeperSlots - 1)];
+  if (slot.exchange(tag, std::memory_order_relaxed) == tag) return true;
+  deferred_.fetch_add(1, std::memory_order_relaxed);
+  return false;
+}
+
+size_t RegionCache::DoorkeeperBytes() const {
+  return kDoorkeeperSlots * sizeof(std::atomic<uint64_t>);
 }
 
 size_t RegionCache::Insert(std::shared_ptr<RegionCacheEntry> entry) {
@@ -239,8 +217,8 @@ void RegionCache::Clear() {
 RegionCacheCounters RegionCache::Counters() const {
   RegionCacheCounters counters;
   counters.hits = hits_.load(std::memory_order_relaxed);
-  counters.partial_hits = partial_hits_.load(std::memory_order_relaxed);
   counters.misses = misses_.load(std::memory_order_relaxed);
+  counters.deferred = deferred_.load(std::memory_order_relaxed);
   counters.insertions = insertions_.load(std::memory_order_relaxed);
   counters.evictions = evictions_.load(std::memory_order_relaxed);
   counters.evicted_bytes = evicted_bytes_.load(std::memory_order_relaxed);
@@ -303,39 +281,6 @@ std::optional<PrefBox> BoxFromRegion(const PrefRegion& region) {
     seen[code] = true;
   }
   return box;
-}
-
-std::optional<PrefBox> IntersectBoxes(const PrefBox& a, const PrefBox& b) {
-  PrefBox core;
-  core.lo = Vec(a.dim());
-  core.hi = Vec(a.dim());
-  for (size_t j = 0; j < a.dim(); ++j) {
-    core.lo[j] = std::max(a.lo[j], b.lo[j]);
-    core.hi[j] = std::min(a.hi[j], b.hi[j]);
-    if (!(core.lo[j] < core.hi[j])) return std::nullopt;
-  }
-  return core;
-}
-
-std::vector<PrefBox> GuillotineRemainder(const PrefBox& outer,
-                                         const PrefBox& core) {
-  std::vector<PrefBox> slabs;
-  PrefBox current = outer;
-  for (size_t j = 0; j < outer.dim(); ++j) {
-    if (current.lo[j] < core.lo[j]) {
-      PrefBox slab = current;
-      slab.hi[j] = core.lo[j];
-      if (slab.hi[j] > slab.lo[j]) slabs.push_back(std::move(slab));
-      current.lo[j] = core.lo[j];
-    }
-    if (current.hi[j] > core.hi[j]) {
-      PrefBox slab = current;
-      slab.lo[j] = core.hi[j];
-      if (slab.hi[j] > slab.lo[j]) slabs.push_back(std::move(slab));
-      current.hi[j] = core.hi[j];
-    }
-  }
-  return slabs;
 }
 
 size_t AppendCellsClippedToBox(const std::vector<FlatCell>& cells,

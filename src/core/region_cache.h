@@ -3,23 +3,28 @@
 // traffic").
 //
 // The test-and-split partition of a box is a deterministic tree whose
-// accepted leaves tile the box. The cache stores, per solved query, the
+// accepted leaves tile the box. The cache stores, per admitted query, the
 // canonical (grid-quantized, snapped-outward) box together with the
 // candidate pool it was solved under and the accepted cells in heap-path
-// id order. Reuse has two tiers:
+// id order. A query box inside a cached box is answered by clipping the
+// stored cells against the query box. The partition is a refinement of
+// any sub-box, so cells fully inside pass through verbatim and boundary
+// cells are cut by the box halfspaces; the result is bit-identical to
+// the admitting miss of the same canonical box (region_cache_test asserts
+// this across methods, dims, and k).
 //
-//  * containment -- a query box inside a cached box is answered by
-//    clipping the stored cells against the query box. The partition is a
-//    refinement of any sub-box, so cells fully inside pass through
-//    verbatim and boundary cells are cut by the box halfspaces; the
-//    result is bit-identical to solving the query against the cache
-//    entry cold (region_cache_test asserts this across methods, dims,
-//    and k).
-//  * partial overlap -- the overlapping core is clipped from the cached
-//    cells while the uncovered remainder of the query box (a guillotine
-//    decomposition, <= 2m sub-boxes) re-enters PartitionScheduler as a
-//    frontier of fresh roots with same-bit-length heap-path ids, so the
-//    resumed subtrees stay disjoint and merge deterministically.
+// Admission (TinyLFU's doorkeeper; Einziger, Friedman, Manes, ACM TOS
+// 2017): a lookup that finds no containing entry asks Admit whether its
+// canonical key was sighted before. The first sighting is recorded and
+// solved on the exact query box, as with the cache off (bit-identical to
+// a cache-off solve); only a repeat sighting solves the snapped canonical
+// box and inserts it. All-distinct traffic therefore pays neither the
+// larger snapped box nor entries that are never hit. The doorkeeper is a
+// fixed direct-mapped array of key hashes: a colliding slot forgets a key
+// (admission waits one more sighting) and a hash collision admits one
+// early. Both paths are exact, so neither error changes the region an
+// answer describes. Its key leaves out the k-skyband epoch, so popularity
+// survives publishes that change the skyband.
 //
 // Entries are held by shared_ptr<const ...>: lookups pin a payload, so
 // eviction, Clear(), and engine teardown never invalidate an in-flight
@@ -69,11 +74,8 @@ struct RegionCacheConfig {
   /// canonicalize to themselves bit-for-bit.
   double quantum = 1.0 / 256.0;
   /// Entries inspected (MRU-first, across shards) when the exact-key
-  /// lookup misses, bounding the cost of containment/overlap probing.
+  /// lookup misses, bounding the cost of containment probing.
   size_t max_probe = 32;
-  /// Allow the partial-overlap tier (frontier resumption). Off =
-  /// containment hits only.
-  bool enable_partial = true;
 };
 
 /// One immutable cached solve. `box` is canonical; `cells` are the
@@ -94,8 +96,10 @@ struct RegionCacheEntry {
 /// Cumulative cache counters (monotone; snapshot via Counters()).
 struct RegionCacheCounters {
   uint64_t hits = 0;
-  uint64_t partial_hits = 0;
   uint64_t misses = 0;
+  /// Misses that were first sightings: solved on the exact query box, as
+  /// with the cache off, and not inserted (a subset of `misses`).
+  uint64_t deferred = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
   uint64_t evicted_bytes = 0;
@@ -128,12 +132,20 @@ class RegionCache {
   std::shared_ptr<const RegionCacheEntry> FindContaining(
       int k, const std::string& signature, const PrefBox& box);
 
-  /// Bounded MRU-first probe for the same-(k, signature) entry with the
-  /// largest positive overlap volume with `box` (every dimension must
-  /// overlap with positive width). Bumps the partial-hit counter on
-  /// success. Disabled (always null) when !config.enable_partial.
-  std::shared_ptr<const RegionCacheEntry> FindOverlap(
-      int k, const std::string& signature, const PrefBox& box);
+  /// The admission doorkeeper. Records a sighting of the key
+  /// (k, options_signature, Canonicalize(box)) and returns true when the
+  /// key was sighted before (admit: solve the canonical box and insert
+  /// it). Returns false for a first sighting, which the caller solves
+  /// exactly as with the cache off; that bumps the deferred counter.
+  /// `options_signature` is CacheSignature(options), without the skyband
+  /// epoch. Lock-free; the doorkeeper never grows.
+  bool Admit(int k, const std::string& options_signature,
+             const PrefBox& box);
+
+  /// Doorkeeper slots: a fixed 2^16 key hashes (512 KiB), allocated at
+  /// construction.
+  static constexpr size_t kDoorkeeperSlots = size_t{1} << 16;
+  size_t DoorkeeperBytes() const;
 
   /// Inserts a solved entry (computing entry->bytes) and evicts the
   /// shard's LRU tail past its budget slice. First insert wins: solves
@@ -144,8 +156,9 @@ class RegionCache {
   /// Records a lookup that found nothing (counters only).
   void RecordMiss();
 
-  /// Drops every entry. In-flight solves holding entry snapshots are
-  /// unaffected (shared_ptr keeps their payload alive).
+  /// Drops every entry; the doorkeeper keeps its sightings. In-flight
+  /// solves holding entry snapshots are unaffected (shared_ptr keeps
+  /// their payload alive).
   void Clear();
 
   RegionCacheCounters Counters() const;
@@ -175,10 +188,13 @@ class RegionCache {
 
   const RegionCacheConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // Direct-mapped key hashes (0 = empty); a slot holds the last key that
+  // hashed there.
+  const std::unique_ptr<std::atomic<uint64_t>[]> doorkeeper_;
 
   std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> partial_hits_{0};
   std::atomic<uint64_t> misses_{0};
+  std::atomic<uint64_t> deferred_{0};
   std::atomic<uint64_t> insertions_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> evicted_bytes_{0};
@@ -190,17 +206,6 @@ class RegionCache {
 /// when the region is not exactly a (non-degenerate) box: 2^m distinct
 /// vertices, each coordinate exactly at the per-dimension min or max.
 std::optional<PrefBox> BoxFromRegion(const PrefRegion& region);
-
-/// The intersection box, or nullopt when some dimension has no positive
-/// overlap width.
-std::optional<PrefBox> IntersectBoxes(const PrefBox& a, const PrefBox& b);
-
-/// Guillotine decomposition of `outer` minus `core` (`core` must be
-/// contained in `outer`): at most 2*dim disjoint boxes peeled slab by
-/// slab whose union with `core` is exactly `outer`. Zero-width slabs are
-/// dropped.
-std::vector<PrefBox> GuillotineRemainder(const PrefBox& outer,
-                                         const PrefBox& core);
 
 /// Clips each cell against `box` and appends the surviving vertices to
 /// `vall` in cell order. Cells whose vertices all lie within the box

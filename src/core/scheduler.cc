@@ -298,20 +298,12 @@ void StealWorkerEntry(const DatasetView& data, const PartitionConfig& config,
 }  // namespace
 
 PartitionOutput PartitionScheduler::Run(RegionTask root) const {
-  std::vector<RegionTask> roots;
-  roots.push_back(std::move(root));
-  return RunFrontier(std::move(roots));
-}
-
-PartitionOutput PartitionScheduler::RunFrontier(
-    std::vector<RegionTask> roots) const {
   const size_t workers = ResolveThreadCount(config_.num_threads);
-  if (workers <= 1) return RunSequential(std::move(roots));
-  return RunParallel(std::move(roots), workers);
+  if (workers <= 1) return RunSequential(std::move(root));
+  return RunParallel(std::move(root), workers);
 }
 
-PartitionOutput PartitionScheduler::RunSequential(
-    std::vector<RegionTask> roots) const {
+PartitionOutput PartitionScheduler::RunSequential(RegionTask root) const {
   const size_t max_regions = config_.max_regions > 0 ? config_.max_regions
                                                      : kDefaultMaxRegions;
   Timer timer;
@@ -320,13 +312,8 @@ PartitionOutput PartitionScheduler::RunSequential(
   ScoreArena arena;
   GeomArena geom_arena;
   std::vector<AcceptedNode> accepted;
-  // LIFO pop order: pushing the frontier in reverse keeps the first root
-  // the first task claimed (matters only for telemetry, never output).
   std::deque<RegionTask> queue;
-  for (auto it = roots.rbegin(); it != roots.rend(); ++it) {
-    queue.push_back(std::move(*it));
-  }
-  roots.clear();
+  queue.push_back(std::move(root));
   worker_stats.deque_high_water = queue.size();
 
   while (!queue.empty()) {
@@ -382,18 +369,14 @@ PartitionOutput PartitionScheduler::RunSequential(
   return out;
 }
 
-PartitionOutput PartitionScheduler::RunParallel(std::vector<RegionTask> roots,
+PartitionOutput PartitionScheduler::RunParallel(RegionTask root,
                                                 size_t num_workers) const {
   auto state = std::make_shared<StealState>(config_, num_workers);
-  state->in_flight.store(static_cast<int64_t>(roots.size()),
-                         std::memory_order_relaxed);
-  // All roots start in slot 0 (reverse order so the calling thread's LIFO
-  // pops claim the first root first); thieves redistribute them FIFO.
-  for (auto it = roots.rbegin(); it != roots.rend(); ++it) {
-    state->slots[0]->deque.Push(new RegionTask(std::move(*it)));
-  }
-  state->slots[0]->stats.deque_high_water = roots.size();
-  roots.clear();
+  state->in_flight.store(1, std::memory_order_relaxed);
+  // The root starts in slot 0, the calling thread's; thieves take its
+  // split children from there.
+  state->slots[0]->deque.Push(new RegionTask(std::move(root)));
+  state->slots[0]->stats.deque_high_water = 1;
 
   // Borrow up to num_workers-1 helpers from the shared pool. The calling
   // thread drains too (slot 0), so helpers the pool cannot schedule (it

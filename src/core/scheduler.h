@@ -67,9 +67,8 @@ struct RegionTask {
   std::vector<int> pruned;
   /// Parent-to-child score memoization (topk/score_kernel.h): the split
   /// parent's vertex-score rows over exactly this task's candidate pool,
-  /// shared read-only by both children. Null at the root and at
-  /// frontier roots resumed by the region cache; purely a performance
-  /// carrier, never observable in the output.
+  /// shared read-only by both children. Null at the root; purely a
+  /// performance carrier, never observable in the output.
   std::shared_ptr<const VertexScoreCache> parent_scores;
 };
 
@@ -127,19 +126,9 @@ class PartitionScheduler {
   /// Processes the whole tree under `root` and assembles the output.
   PartitionOutput Run(RegionTask root) const;
 
-  /// Multi-root variant: processes the forest under `roots` and merges
-  /// the accepted nodes of all subtrees in ascending task-id order. Used
-  /// by the cross-query region cache to resume a partially cached solve
-  /// from a frontier of unsolved sub-boxes; callers must hand in ids
-  /// whose subtrees are disjoint (e.g. same-bit-length heap paths) or
-  /// the merge order is ambiguous. An empty forest yields an empty
-  /// output.
-  PartitionOutput RunFrontier(std::vector<RegionTask> roots) const;
-
  private:
-  PartitionOutput RunSequential(std::vector<RegionTask> roots) const;
-  PartitionOutput RunParallel(std::vector<RegionTask> roots,
-                              size_t num_workers) const;
+  PartitionOutput RunSequential(RegionTask root) const;
+  PartitionOutput RunParallel(RegionTask root, size_t num_workers) const;
 
   // By value: views are trivially copyable, and holding a copy lets the
   // engine hand in a snapshot view without keeping a view object alive.

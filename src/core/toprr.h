@@ -96,11 +96,13 @@ struct ToprrOptions {
 
   /// Serve box queries through the engine's cross-query region cache
   /// (core/region_cache.h) when one is enabled via
-  /// ToprrEngine::EnableRegionCache: solved canonical boxes are reused by
-  /// clipping, overlapping ones by frontier resumption. Only meaningful
-  /// on ToprrEngine solves; the free SolveToprr functions ignore it.
-  /// Cache-hit results are bit-identical to what the same engine returns
-  /// with the flag off (see region_cache_test).
+  /// ToprrEngine::EnableRegionCache: a box's first sighting is solved
+  /// exactly as with the flag off, a repeat solves and inserts its
+  /// canonical (grid-snapped) box, and later queries inside it are served
+  /// by clipping the stored cells. Only meaningful on ToprrEngine solves;
+  /// the free SolveToprr functions ignore it. A hit is bit-identical to
+  /// the admitting miss of its canonical box, and for grid-aligned boxes
+  /// to a solve with the flag off (see region_cache_test).
   bool use_region_cache = false;
 };
 

@@ -129,9 +129,9 @@ const char* MutationStatusName(MutationStatus status);
 /// wire-stable; append only.
 enum class CacheLookup : uint8_t {
   kBypass = 0,   // cache disabled, or the query shape is not cacheable
-  kMiss = 1,     // solved cold (and inserted)
+  kMiss = 1,     // no containing entry: solved cold
   kHit = 2,      // served by clipping a cached superset
-  kPartial = 3,  // resumed from a cached overlap's frontier
+  kPartial = 3,  // not produced; reserved for wire compatibility
 };
 
 /// The parsed fixed header every payload opens with.

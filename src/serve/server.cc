@@ -369,6 +369,7 @@ std::vector<ServeResponse> ToprrServer::SolveAdmitted(
   responses.reserve(results.size());
   for (const ToprrResult& result : results) {
     responses.push_back(ResponseFromResult(result));
+    if (result.stats.scheduler.cache_deferred > 0) stats_.OnCacheDeferred();
     if (attribute_deadline &&
         responses.back().status == ServeStatus::kShutdown) {
       responses.back().status = ServeStatus::kDeadlineExceeded;

@@ -1,7 +1,8 @@
 // Parameterized whole-pipeline fuzz: across seeds, dimensions,
 // distributions and parameters, verify structural invariants of the
-// solver output and equality of the result region under every
-// optimization toggle combination.
+// solver output and that the result region stays the same with each
+// pruning rule (Lemma 5, Lemma 7, k-switch) switched off, and under TAS
+// instead of the default method.
 #include <cmath>
 
 #include <gtest/gtest.h>

@@ -245,14 +245,21 @@ TEST(ServeServerTest, CacheEnabledServerHitsOnRepeatedQueries) {
   config.use_region_cache = true;
   auto server = StartServer(data, config);
 
-  // The same clientele box queried repeatedly: first solve misses and
-  // populates, the rest hit. Results must be identical across the batch
-  // and match a cache-off engine.
+  // The same clientele box queried repeatedly. Its first sighting is
+  // solved exactly and not inserted (cache admission); the first copy of
+  // the batch misses and populates, the rest hit. Results must be
+  // identical across the batch and match a cache-off engine.
   const PrefBox box = Box({16.0 / 256, 20.0 / 256},
                           {24.0 / 256, 28.0 / 256});
   std::vector<ToprrQuery> queries(4, ToprrQuery::FromBox(5, box));
   ToprrClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
+  auto first = client.QueryBatch({queries[0]});
+  ASSERT_TRUE(first.has_value()) << client.last_error();
+  ASSERT_EQ(first->size(), 1u);
+  EXPECT_EQ(static_cast<CacheLookup>((*first)[0].stats.cache_lookup),
+            CacheLookup::kMiss);
+  EXPECT_EQ(server->stats().Snapshot().cache_deferred, 1u);
   auto responses = client.QueryBatch(queries);
   ASSERT_TRUE(responses.has_value()) << client.last_error();
   ASSERT_EQ(responses->size(), 4u);
@@ -283,7 +290,8 @@ TEST(ServeServerTest, CacheEnabledServerHitsOnRepeatedQueries) {
   EXPECT_EQ(misses, 1u);
   EXPECT_EQ(hits, 3u);
   const ServerStatsSnapshot stats = server->stats().Snapshot();
-  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_misses, 2u);  // the deferred sighting + the admit
+  EXPECT_EQ(stats.cache_deferred, 1u);
   EXPECT_EQ(stats.cache_hits, 3u);
   EXPECT_GT(stats.cache_tasks_saved, 0u);
   EXPECT_EQ(stats.protocol_errors, 0u);
