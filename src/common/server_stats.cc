@@ -32,15 +32,13 @@ std::string ServerStatsSnapshot::DebugString() const {
         << " version_mismatches=" << version_mismatches;
   }
   if (timeouts_idle + timeouts_read + timeouts_write +
-          queries_deadline_exceeded + queries_rejected_draining +
-          brownout_clamps >
+          queries_deadline_exceeded + queries_rejected_draining >
       0) {
     out << " timeouts_idle=" << timeouts_idle
         << " timeouts_read=" << timeouts_read
         << " timeouts_write=" << timeouts_write
         << " deadline_exceeded=" << queries_deadline_exceeded
-        << " rejected_draining=" << queries_rejected_draining
-        << " brownout_clamps=" << brownout_clamps;
+        << " rejected_draining=" << queries_rejected_draining;
   }
   if (recovered || wal_appends + wal_bytes + checkpoints_written > 0) {
     out << " wal_appends=" << wal_appends << " wal_bytes=" << wal_bytes
@@ -92,7 +90,6 @@ ServerStatsSnapshot ServerStats::Snapshot() const {
       queries_deadline_exceeded_.load(std::memory_order_relaxed);
   snap.queries_rejected_draining =
       queries_rejected_draining_.load(std::memory_order_relaxed);
-  snap.brownout_clamps = brownout_clamps_.load(std::memory_order_relaxed);
   snap.wal_appends = wal_appends_.load(std::memory_order_relaxed);
   snap.wal_bytes = wal_bytes_.load(std::memory_order_relaxed);
   snap.wal_fsyncs = wal_fsyncs_.load(std::memory_order_relaxed);

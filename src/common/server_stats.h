@@ -50,14 +50,13 @@ struct ServerStatsSnapshot {
                                      // applied-publish record (idempotency)
   uint64_t version_mismatches = 0;   // connections rejected at handshake
 
-  // Failure-hardening counters (PR 9): socket timeouts, deadline
-  // expiries, draining rejections, and overload brownouts.
+  // Failure-hardening counters: socket timeouts, deadline expiries and
+  // draining rejections.
   uint64_t timeouts_idle = 0;   // connections dropped: no frame started
   uint64_t timeouts_read = 0;   // connections dropped: stalled mid-frame
   uint64_t timeouts_write = 0;  // connections dropped: reply write stalled
   uint64_t queries_deadline_exceeded = 0;
   uint64_t queries_rejected_draining = 0;
-  uint64_t brownout_clamps = 0;  // budgets clamped under sustained overload
 
   // Durability (PR 10): mirrored from the durable catalog after each
   // publish so `--stats` readers see WAL traffic without linking data/.
@@ -125,7 +124,6 @@ class ServerStats {
   void OnQueriesRejectedDraining(uint64_t count) {
     queries_rejected_draining_.fetch_add(count, std::memory_order_relaxed);
   }
-  void OnBrownoutClamp() { Bump(brownout_clamps_); }
 
   /// Mirrors the durable catalog's monotonic counters (absolute values,
   /// not increments -- the catalog owns the counts, stats just reflect
@@ -187,7 +185,6 @@ class ServerStats {
   std::atomic<uint64_t> timeouts_write_{0};
   std::atomic<uint64_t> queries_deadline_exceeded_{0};
   std::atomic<uint64_t> queries_rejected_draining_{0};
-  std::atomic<uint64_t> brownout_clamps_{0};
   std::atomic<uint64_t> wal_appends_{0};
   std::atomic<uint64_t> wal_bytes_{0};
   std::atomic<uint64_t> wal_fsyncs_{0};

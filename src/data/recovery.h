@@ -57,7 +57,8 @@ struct DurabilityOptions {
   uint64_t checkpoint_every = 64;
   /// Group-commit threshold for FsyncPolicy::kBatched.
   size_t wal_batch_bytes = size_t{1} << 20;
-  /// Test hook: wraps every newly opened WAL sink (FaultyFile injection).
+  /// Test hook: wraps every newly opened WAL sink (fault injection, see
+  /// tests/support/faulty_file.h).
   std::function<std::unique_ptr<WalFile>(std::unique_ptr<WalFile>)>
       wrap_wal_file;
 };

@@ -15,8 +15,8 @@
 // an abort, so adversarial inputs cannot take the process down.
 //
 // WalWriter owns the append path behind a WalFile byte sink. The
-// default sink is a POSIX fd (PosixWalFile); tests wrap it in
-// FaultyFile, the file-system analog of serve::FaultyStream, to inject
+// default sink is a POSIX fd (PosixWalFile); tests wrap it in a
+// fault-injecting decorator (tests/support/faulty_file.h) to inject
 // short writes, bit flips, and hard failures with seeded randomness.
 //
 // Fsync policy trades durability for publish latency:
@@ -142,43 +142,6 @@ class PosixWalFile : public WalFile {
   explicit PosixWalFile(int fd) : fd_(fd) {}
   int fd_;
   std::string error_;
-};
-
-/// Seeded fault plan for FaultyFile (the file-system analog of
-/// serve::FaultPlan): probabilities are per Append() call.
-struct FileFaultPlan {
-  uint64_t seed = 1;
-  double short_write_probability = 0.0;  // write a prefix, then fail
-  double bit_flip_probability = 0.0;     // corrupt one byte, then succeed
-  uint64_t fail_after_bytes = 0;         // hard-fail once N bytes written
-};
-
-/// Decorator injecting write-side faults into any WalFile. Telemetry
-/// counters let tests assert the plan actually fired.
-class FaultyFile : public WalFile {
- public:
-  FaultyFile(std::unique_ptr<WalFile> inner, const FileFaultPlan& plan);
-
-  bool Append(const void* data, size_t len) override;
-  bool Sync() override;
-  const std::string& last_error() const override { return error_; }
-
-  uint64_t bytes_written() const { return bytes_written_; }
-  uint64_t short_writes() const { return short_writes_; }
-  uint64_t bit_flips() const { return bit_flips_; }
-  uint64_t hard_failures() const { return hard_failures_; }
-
- private:
-  double NextUniform();
-
-  std::unique_ptr<WalFile> inner_;
-  FileFaultPlan plan_;
-  uint64_t rng_state_;
-  std::string error_;
-  uint64_t bytes_written_ = 0;
-  uint64_t short_writes_ = 0;
-  uint64_t bit_flips_ = 0;
-  uint64_t hard_failures_ = 0;
 };
 
 // ---------------------------------------------------------------------------

@@ -18,11 +18,14 @@
 #include <unistd.h>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "serve/framing.h"
 
 namespace toprr {
 namespace serve {
 namespace {
+
+constexpr int kListenBacklog = 64;
 
 // A query the server refuses to hand to the engine: the engine
 // CHECK-fails on out-of-range k or mismatched dimensions, and a hostile
@@ -103,7 +106,7 @@ bool ToprrServer::Start(std::string* error) {
     listen_fd_ = -1;
     return false;
   }
-  if (::listen(listen_fd_, config_.listen_backlog) < 0) {
+  if (::listen(listen_fd_, kListenBacklog) < 0) {
     if (error != nullptr) *error = LogErrno("listen");
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -274,25 +277,7 @@ void ToprrServer::ReleaseQueries(size_t count) {
 std::vector<ServeResponse> ToprrServer::SolveAdmitted(
     std::vector<ToprrQuery> queries,
     const std::chrono::steady_clock::time_point* deadline) {
-  // Brownout: sampled once per batch. When the admitted in-flight count
-  // (this batch included) is already past the configured fraction of the
-  // ceiling, clamp budgets harder so answers degrade (kBudgetExceeded
-  // with partial stats) instead of queueing up behind full-budget solves
-  // until admission starts rejecting outright.
-  double budget_ceiling = config_.max_query_budget_seconds;
-  if (config_.brownout_budget_seconds > 0.0 &&
-      config_.max_inflight_queries > 0) {
-    const double inflight = static_cast<double>(
-        inflight_queries_.load(std::memory_order_acquire));
-    const double threshold = config_.brownout_inflight_fraction *
-                             static_cast<double>(config_.max_inflight_queries);
-    if (inflight > threshold &&
-        (budget_ceiling <= 0.0 ||
-         config_.brownout_budget_seconds < budget_ceiling)) {
-      budget_ceiling = config_.brownout_budget_seconds;
-      stats_.OnBrownoutClamp();
-    }
-  }
+  const double budget_ceiling = config_.max_query_budget_seconds;
   for (ToprrQuery& query : queries) {
     // Clamp the budget: unlimited (<= 0), over-the-cap, and NaN requests
     // all drop to the server's ceiling, enforced by the scheduler budget
@@ -307,8 +292,17 @@ std::vector<ServeResponse> ToprrServer::SolveAdmitted(
     query.options.time_budget_seconds = budget;
     // A client must not be able to grab every core via num_threads=0
     // (the "all hardware threads" knob); region-level parallelism stays
-    // an explicit positive request.
-    if (query.options.num_threads < 1) query.options.num_threads = 1;
+    // an explicit positive request. The upper bound matters as much: the
+    // work-stealing executor builds one worker slot (each with a victim
+    // list over all peers) per requested thread, so an unbounded wire
+    // value is quadratic memory. Results are identical for any worker
+    // count, so capping at the pool size changes no answer.
+    int& threads = query.options.num_threads;
+    if (threads < 1) threads = 1;
+    if (threads > 1) {
+      threads = static_cast<int>(std::min<size_t>(
+          static_cast<size_t>(threads), SharedThreadPool().num_threads()));
+    }
     // Caching is server-side policy: the wire has no cache bit, the
     // server opts admitted queries in (or not) uniformly.
     query.options.use_region_cache = config_.use_region_cache;
@@ -507,7 +501,7 @@ std::string ToprrServer::HandleQueryBatch(const std::string& payload) {
   }
 
   std::string reply = EncodeResponseBatch(responses);
-  if (reply.size() > config_.max_frame_payload_bytes) {
+  if (reply.size() > kMaxFramePayloadBytes) {
     // The client's ReadFrame would reject this as oversized and tear
     // the connection down, discarding solved work. Degrade instead:
     // drop the vertex geometry first (the halfspace description stays
@@ -519,7 +513,7 @@ std::string ToprrServer::HandleQueryBatch(const std::string& payload) {
       }
     }
     reply = EncodeResponseBatch(responses);
-    if (reply.size() > config_.max_frame_payload_bytes) {
+    if (reply.size() > kMaxFramePayloadBytes) {
       for (ServeResponse& response : responses) {
         response.impact_halfspaces.clear();
         if (response.status == ServeStatus::kOk) {
@@ -719,7 +713,7 @@ void ToprrServer::ServeConnection(int fd) {
     }
     bool frame_started = false;
     const FrameReadStatus read_status =
-        ReadFrame(stream, &payload, config_.max_frame_payload_bytes,
+        ReadFrame(stream, &payload, kMaxFramePayloadBytes,
                   use_read_timeouts ? &switcher : nullptr, &frame_started);
     if (read_status == FrameReadStatus::kEof) return;  // clean close
     if (read_status == FrameReadStatus::kTimeout) {
@@ -782,7 +776,7 @@ void ToprrServer::ServeConnection(int fd) {
           }
           const SnapshotPtr snap = engine_.snapshot();
           ServerHello hello;
-          hello.max_frame_payload_bytes = config_.max_frame_payload_bytes;
+          hello.max_frame_payload_bytes = kMaxFramePayloadBytes;
           hello.max_inflight_queries =
               static_cast<uint32_t>(config_.max_inflight_queries);
           hello.max_staged_mutations =

@@ -70,7 +70,6 @@ struct ServerConfig {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   int port = 0;
-  int listen_backlog = 64;
 
   /// Admission control: maximum queries admitted concurrently across all
   /// connections. Batches that would exceed it are rejected whole with
@@ -85,9 +84,6 @@ struct ServerConfig {
   /// Worker threads for each batch's dispatch through SolveBatch
   /// (0 = one per hardware thread, 1 = solve in the connection thread).
   int batch_threads = 1;
-
-  /// Frames with a longer length prefix are rejected before buffering.
-  size_t max_frame_payload_bytes = kMaxFramePayloadBytes;
 
   /// Per-connection staged-delta bound: staged inserts + staged deletes.
   /// A StageInsert/StageDelete frame that would push a connection past it
@@ -113,13 +109,6 @@ struct ServerConfig {
   /// Reply-write timeout (milliseconds, 0 = disabled): a peer that stops
   /// draining its receive buffer is dropped (timeouts_write).
   int write_timeout_ms = 0;
-
-  /// Brownout: when admitted in-flight queries exceed this fraction of
-  /// max_inflight_queries, budgets of newly admitted queries are clamped
-  /// to brownout_budget_seconds (when > 0) so the server sheds load by
-  /// degrading answers before it starts rejecting outright.
-  double brownout_inflight_fraction = 0.75;
-  double brownout_budget_seconds = 0.0;
 
   /// Enables the engine's cross-query region cache
   /// (core/region_cache.h) and opts every admitted query into it.
@@ -221,8 +210,8 @@ class ToprrServer {
   bool TryAdmitQueries(size_t count);
   void ReleaseQueries(size_t count);
 
-  /// Solves one admitted batch with budgets clamped (harder under
-  /// brownout) and a per-batch cancel flag plumbed through. The flag is
+  /// Solves one admitted batch with budgets and worker counts clamped
+  /// and a per-batch cancel flag plumbed through. The flag is
   /// armed by Stop() (all registered batches) and, when `deadline` is
   /// non-null, by a watcher timer at the batch's absolute deadline;
   /// deadline-cancelled queries answer kDeadlineExceeded.

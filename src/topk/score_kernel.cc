@@ -228,10 +228,6 @@ void ScoreKernel::TopKInto(size_t vertex, int k, TopkResult& out) {
   out.entries.assign(heap.begin(), heap.end());
 }
 
-int ScoreKernel::RankOf(size_t vertex, int id) const {
-  return RankFromScores(*pool_, Scores(vertex), id);
-}
-
 std::shared_ptr<const VertexScoreCache> ScoreKernel::MakeCache(
     const double* coords, size_t count,
     const std::vector<int>& surviving) const {

@@ -168,10 +168,6 @@ class ScoreKernel {
   /// ComputeTopKReduced(data, pool, vertex, k). Reuses out's capacity.
   void TopKInto(size_t vertex, int k, TopkResult& out);
 
-  /// 1-based rank of `id` at a vertex within the pool, identical to
-  /// RankOfOption but read from the live scored buffer (no rescoring).
-  int RankOf(size_t vertex, int id) const;
-
   /// Builds the memoization cache handed to a split's children:
   /// `surviving` must be a subsequence of the loaded pool (the post-
   /// Lemma-5 candidates); each vertex's row is masked-copied onto it.

@@ -4,9 +4,8 @@
 // is a superset of the top-k result of every possible weight vector, and
 // the first of the four fast-filtering alternatives compared in Fig. 8.
 //
-// Two implementations are provided: a sort-based scan (fast in practice,
-// no index needed) and index-based BBS (see index/rtree.h). They return
-// identical sets; tests verify this.
+// It is computed by a sort-based scan (no index needed); skyband_test
+// checks it against the brute-force dominance-count definition.
 //
 // For a live catalog (data/snapshot.h) the skyband is additionally
 // maintainable *incrementally* across snapshot deltas: KSkybandState

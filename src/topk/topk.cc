@@ -53,38 +53,4 @@ TopkResult ComputeTopKReduced(const DatasetView& data,
   return SelectTopK(std::move(scored), k);
 }
 
-int RankOfOption(const DatasetView& data, const std::vector<int>& ids,
-                 const Vec& x, int id) {
-  const double target_score = ReducedScore(data.Row(id), x);
-  int rank = 1;
-  for (int other : ids) {
-    if (other == id) continue;
-    const double s = ReducedScore(data.Row(other), x);
-    if (s > target_score || (s == target_score && other < id)) ++rank;
-  }
-  return rank;
-}
-
-int RankFromScores(const std::vector<int>& ids, const double* scores,
-                   int id) {
-  double target_score = 0.0;
-  bool found = false;
-  for (size_t c = 0; c < ids.size(); ++c) {
-    if (ids[c] == id) {
-      target_score = scores[c];
-      found = true;
-      break;
-    }
-  }
-  CHECK(found) << "option " << id << " not in the scored id list";
-  int rank = 1;
-  for (size_t c = 0; c < ids.size(); ++c) {
-    const int other = ids[c];
-    if (other == id) continue;
-    const double s = scores[c];
-    if (s > target_score || (s == target_score && other < id)) ++rank;
-  }
-  return rank;
-}
-
 }  // namespace toprr

@@ -49,17 +49,6 @@ TopkResult ComputeTopKReduced(const DatasetView& data,
                               const std::vector<int>& ids, const Vec& x,
                               int k);
 
-/// Exact rank of option `id` at reduced weights x within `ids` (1-based;
-/// options scoring strictly higher, or equal with smaller id, rank above).
-int RankOfOption(const DatasetView& data, const std::vector<int>& ids,
-                 const Vec& x, int id);
-
-/// RankOfOption from a precomputed score row aligned with `ids` (e.g. a
-/// live ScoreKernel buffer): same rank, no rescoring. `id` must be in
-/// `ids`.
-int RankFromScores(const std::vector<int>& ids, const double* scores,
-                   int id);
-
 }  // namespace toprr
 
 #endif  // TOPRR_TOPK_TOPK_H_

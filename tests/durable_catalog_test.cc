@@ -24,6 +24,7 @@
 #include "data/dataset.h"
 #include "data/snapshot.h"
 #include "data/wal.h"
+#include "support/faulty_file.h"
 
 // fork() without exec() is unsupported under ThreadSanitizer; the crash
 // test is covered by the ASan/UBSan and plain jobs instead.

@@ -205,28 +205,6 @@ TEST(ScoreKernelTest, SteadyStateMakesNoAllocations) {
   EXPECT_EQ(arena.counters().arena_allocations, warm);
 }
 
-TEST(ScoreKernelTest, RankOfMatchesRankOfOption) {
-  const Dataset ds =
-      GenerateSynthetic(150, 3, Distribution::kIndependent, 81);
-  Rng rng(4006);
-  const std::vector<int> ids = AllIds(ds);
-  const std::vector<Vec> vertices = RandomVertices(2, 0.08, rng);
-
-  ScoreArena arena;
-  ScoreKernel kernel(arena);
-  kernel.LoadBlock(ds, ids);
-  kernel.ScoreVertices(vertices, nullptr);
-  for (size_t v = 0; v < vertices.size(); ++v) {
-    for (int id : {0, 7, 42, 149}) {
-      EXPECT_EQ(kernel.RankOf(v, id),
-                RankOfOption(ds, ids, vertices[v], id))
-          << "v=" << v << " id=" << id;
-      EXPECT_EQ(RankFromScores(ids, kernel.Scores(v), id),
-                RankOfOption(ds, ids, vertices[v], id));
-    }
-  }
-}
-
 TEST(ScoreKernelTest, KernelCountersDeterministicAcrossExecutors) {
   // The kernel counter totals are pure functions of the region tree, so
   // sequential and parallel runs must report identical totals (the

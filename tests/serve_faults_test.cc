@@ -1,9 +1,9 @@
-// Fault-injection decorator tests (serve/faults.h): determinism of the
-// seeded schedule, short-transfer and delay composition with the framing
-// loops, and the hard byte-offset faults (reset / truncating EOF) that
-// script "the connection dies exactly here" scenarios. Labeled `serve`
-// through the CMake test glob.
-#include "serve/faults.h"
+// Fault-injection decorator tests (tests/support/faulty_stream.h):
+// determinism of the seeded schedule, short-transfer and delay
+// composition with the framing loops, and the hard byte-offset faults
+// (reset / truncating EOF) that script "the connection dies exactly here"
+// scenarios. Labeled `serve` through the CMake test glob.
+#include "support/faulty_stream.h"
 
 #include <gtest/gtest.h>
 

@@ -9,6 +9,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -159,15 +162,61 @@ TEST(ServeServerTest, ServerClampsRunawayBudgets) {
   ServerConfig config;
   config.max_query_budget_seconds = 1e-9;  // everything expires
   auto server = StartServer(data, config);
-
-  // The query asks for an unlimited budget; the server must clamp it.
-  ToprrQuery query = ToprrQuery::FromBox(3, Box({0.2, 0.2}, {0.3, 0.3}));
-  ASSERT_EQ(query.options.time_budget_seconds, 0.0);
   ToprrClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
-  auto responses = client.QueryBatch({query});
+
+  // Unlimited (0), negative, NaN, infinite and far-over-the-ceiling
+  // requests must all drop to the ceiling. NaN is the one a plain
+  // `budget <= 0` test would let through as "unlimited".
+  const double requested[] = {0.0, -1.0,
+                              std::numeric_limits<double>::quiet_NaN(),
+                              std::numeric_limits<double>::infinity(), 1e9};
+  for (const double budget : requested) {
+    SCOPED_TRACE(budget);
+    ToprrQuery query = ToprrQuery::FromBox(3, Box({0.2, 0.2}, {0.3, 0.3}));
+    query.options.time_budget_seconds = budget;
+    auto responses = client.QueryBatch({query});
+    ASSERT_TRUE(responses.has_value()) << client.last_error();
+    ASSERT_EQ(responses->size(), 1u);
+    EXPECT_EQ((*responses)[0].status, ServeStatus::kBudgetExceeded);
+  }
+  EXPECT_EQ(server->stats().Snapshot().queries_budget_exceeded,
+            std::size(requested));
+}
+
+TEST(ServeServerTest, ServerClampsRunawayThreadCounts) {
+  // The work-stealing executor sizes its worker slots (and each slot's
+  // victim list) by the requested thread count, so an unclamped INT32_MAX
+  // would ask for ~2^31 slots. The server caps the request at its pool
+  // size; the answer is the one a single thread gives.
+  const Dataset data =
+      GenerateSynthetic(2000, 3, Distribution::kIndependent, 51);
+  auto server = StartServer(data, ServerConfig{});
+  ToprrClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
+
+  ToprrQuery sequential =
+      ToprrQuery::FromBox(5, Box({0.2, 0.2}, {0.26, 0.26}));
+  sequential.options.num_threads = 1;
+  ToprrQuery greedy = sequential;
+  greedy.options.num_threads = std::numeric_limits<int32_t>::max();
+  auto responses = client.QueryBatch({sequential, greedy});
   ASSERT_TRUE(responses.has_value()) << client.last_error();
-  EXPECT_EQ((*responses)[0].status, ServeStatus::kBudgetExceeded);
+  ASSERT_EQ(responses->size(), 2u);
+  const ServeResponse& one = (*responses)[0];
+  const ServeResponse& many = (*responses)[1];
+  ASSERT_EQ(one.status, ServeStatus::kOk);
+  ASSERT_EQ(many.status, ServeStatus::kOk);
+  ASSERT_FALSE(one.impact_halfspaces.empty());
+  ASSERT_EQ(many.impact_halfspaces.size(), one.impact_halfspaces.size());
+  for (size_t h = 0; h < one.impact_halfspaces.size(); ++h) {
+    SCOPED_TRACE(h);
+    const Halfspace& a = one.impact_halfspaces[h];
+    const Halfspace& b = many.impact_halfspaces[h];
+    EXPECT_EQ(b.offset, a.offset);
+    ASSERT_EQ(b.dim(), a.dim());
+    for (size_t c = 0; c < a.dim(); ++c) EXPECT_EQ(b.normal[c], a.normal[c]);
+  }
 }
 
 TEST(ServeServerTest, UnsolvableQueriesAnswerMalformed) {

@@ -1,4 +1,4 @@
-#include "serve/faults.h"
+#include "support/faulty_stream.h"
 
 #include <algorithm>
 #include <cerrno>

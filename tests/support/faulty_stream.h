@@ -18,9 +18,10 @@
 // The process-boundary counterpart is examples/toprr_chaosproxy.cpp,
 // which applies the same fault vocabulary between a real client and a
 // real server over TCP; the chaos serve-smoke CI phase drives loadgen
-// through it.
-#ifndef TOPRR_SERVE_FAULTS_H_
-#define TOPRR_SERVE_FAULTS_H_
+// through it. FaultyFile (faulty_file.h) is the write-ahead log's
+// counterpart.
+#ifndef TOPRR_TESTS_SUPPORT_FAULTY_STREAM_H_
+#define TOPRR_TESTS_SUPPORT_FAULTY_STREAM_H_
 
 #include <cstddef>
 #include <cstdint>
@@ -98,4 +99,4 @@ class FaultyStream : public ByteStream {
 }  // namespace serve
 }  // namespace toprr
 
-#endif  // TOPRR_SERVE_FAULTS_H_
+#endif  // TOPRR_TESTS_SUPPORT_FAULTY_STREAM_H_

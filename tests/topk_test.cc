@@ -94,15 +94,5 @@ TEST(TopkTest, KLargerThanDatasetReturnsAll) {
   EXPECT_EQ(r.entries.size(), 2u);
 }
 
-TEST(RankOfOptionTest, Basics) {
-  const Dataset ds = PaperFigure1Dataset();
-  std::vector<int> all_ids(ds.size());
-  for (size_t i = 0; i < ds.size(); ++i) all_ids[i] = static_cast<int>(i);
-  const Vec x{0.75};  // right of the p1/p2 crossover at 5/7
-  EXPECT_EQ(RankOfOption(ds, all_ids, x, 0), 1);  // p1 best at 0.75
-  EXPECT_EQ(RankOfOption(ds, all_ids, x, 5), 6);  // p6 always last
-  EXPECT_EQ(RankOfOption(ds, all_ids, Vec{0.7}, 0), 2);  // p2 leads at 0.7
-}
-
 }  // namespace
 }  // namespace toprr

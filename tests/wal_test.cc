@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/faulty_file.h"
+
 namespace toprr {
 namespace {
 
