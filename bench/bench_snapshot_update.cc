@@ -6,22 +6,27 @@
 // half deletes of non-skyband rows -- the common case), plus
 // `member_deletes` deletes of the highest-sum skyband members (the rows
 // that dominate the most others, so the costliest to delete
-// incrementally), publishes it, and then times two pure-function
-// payloads over the published snapshot:
+// incrementally: their promotion scan sees ~44k of the 50k rows, and
+// the certificate corners of topk/skyband.h leave about a quarter of
+// those to be dominator-counted), publishes it, and then times two
+// pure-function payloads over the published snapshot:
 //  * rebuild     -- SortBasedKSkybandPool over all live ids (what every
 //                   publish would cost without incremental maintenance);
-//  * incremental -- copy the parent version's state and apply the delta
-//                   via KSkybandApplyDelta (which itself rebuilds a
-//                   delta deleting more than half of the members).
+//  * incremental -- copy the parent version's state (ids plus the
+//                   sum-ordered working form) and apply the delta via
+//                   KSkybandApplyDelta (which itself rebuilds a delta
+//                   deleting more than half of the members).
 // Both series run on identical inputs; the incremental points carry
 // `speedup_vs_rebuild` against the matching rebuild point (registered
 // and therefore run first), `equal` asserting bit-identity of the two
-// states (ids and counts), and `publish_ms` for the catalog publish
-// itself (COW chunk sharing keeps it O(delta)). CI's bench-smoke job
-// gates `snapshot_update/incremental/d:4/k:10/delta:1pct` at >= 5x with
-// equal == 1 (ci/check_bench_smoke.py --snapshot). The member-delete
-// family at d:4/k:10 deletes 1, k + 1 and 800 of the ~1470 members; the
-// last is past the bulk-delete rule and so times the rebuild twice.
+// states (ids, counts and working form), and `publish_ms` for the
+// catalog publish itself (COW chunk sharing and merged live ids keep it
+// O(delta + live ids)). CI's bench-smoke job gates
+// `snapshot_update/incremental/d:4/k:10/delta:1pct` at >= 5x and
+// `.../member_deletes:1/delta:1pct` at >= 4x, both with equal == 1
+// (ci/check_bench_smoke.py --snapshot). The member-delete family at
+// d:4/k:10 deletes 1, k + 1 and 800 of the ~1470 members; the last is
+// past the bulk-delete rule and so times the rebuild twice.
 //
 // Emit the committed JSON trajectory with the stock flags:
 //   bench_snapshot_update --benchmark_format=json
@@ -80,7 +85,7 @@ std::map<std::string, double>& RebuildSeconds() {
 // the exact same inputs: the parent skyband state, the published
 // snapshot, and the Publish() wall time.
 struct Prepared {
-  KSkybandState base;     // parent version's skyband (ids + counts)
+  KSkybandState base;     // parent version's skyband state
   SnapshotPtr snap;       // the published child snapshot
   double publish_seconds = 0.0;
 };
@@ -148,8 +153,7 @@ void RunPoint(::benchmark::State& state, const UpdateConfig& config,
                      &carried);
   const KSkybandState rebuilt =
       SortBasedKSkybandPool(view, snap->live_ids(), config.k);
-  const bool equal =
-      carried.ids == rebuilt.ids && carried.counts == rebuilt.counts;
+  const bool equal = carried == rebuilt;
 
   double checksum = 0.0;
   const auto payload = [&]() {

@@ -42,7 +42,11 @@ the gated configuration `snapshot_update/incremental/d:4/k:10/delta:1pct`
 is missing, its `speedup_vs_rebuild` counter is below the floor
 (BENCH_SNAPSHOT_FLOOR env var, default 5.0), or its `equal` counter is
 not 1 -- incremental skyband maintenance across a <=1% publish delta
-must beat a from-scratch rebuild while staying bit-identical to it.
+must beat a from-scratch rebuild while staying bit-identical to it. The
+same checks gate the member-delete point
+`snapshot_update/incremental/d:4/k:10/member_deletes:1/delta:1pct` at a
+fixed 4.0x: deleting the highest-sum member (the widest promotion scan)
+must stay well ahead of a rebuild.
 
 Usage: check_bench_smoke.py bench_smoke.json
        check_bench_smoke.py --kernel score_kernel.json
@@ -65,6 +69,10 @@ CACHE_DISTINCT = re.compile(r"^query_cache/distinct/d:4/k:10(/|$)")
 DISTINCT_CEILING = 1.15
 SNAPSHOT_GATED = re.compile(
     r"^snapshot_update/incremental/d:4/k:10/delta:1pct(/|$)")
+SNAPSHOT_MEMBER_GATED = re.compile(
+    r"^snapshot_update/incremental/d:4/k:10/member_deletes:1/delta:1pct"
+    r"(/|$)")
+MEMBER_DELETE_FLOOR = 4.0
 
 
 def evaluate(report, floor):
@@ -278,6 +286,39 @@ def evaluate_cache(report, floor):
     )
 
 
+def snapshot_point(benchmarks, pattern, label, floor):
+    """Returns (ok, one_line_message, point) for one gated
+    bench_snapshot_update configuration."""
+    point = None
+    for bench in benchmarks:
+        if isinstance(bench, dict) and pattern.match(bench.get("name", "")):
+            point = bench
+            break
+    if point is None:
+        return False, (
+            "gated snapshot config missing: the report has "
+            f"{len(benchmarks)} benchmarks but none match {label}"
+        ), None
+    speedup = point.get("speedup_vs_rebuild")
+    if speedup is None:
+        return False, (
+            f"gated snapshot config {label} has no speedup_vs_rebuild "
+            "counter (did the rebuild series run first?)"
+        ), None
+    equal = point.get("equal")
+    if equal != 1:
+        return False, (
+            f"incremental skyband state of {label} is NOT bit-identical to "
+            f"the rebuild (equal={equal}): maintenance correctness is broken"
+        ), None
+    if speedup < floor:
+        return False, (
+            f"incremental maintenance speedup {speedup:.2f}x on {label} "
+            f"below the {floor}x floor"
+        ), None
+    return True, "", point
+
+
 def evaluate_snapshot(report, floor):
     """Returns (ok, one_line_message) for a bench_snapshot_update report."""
     if not isinstance(report, dict):
@@ -288,42 +329,24 @@ def evaluate_snapshot(report, floor):
             "no benchmark series in the report (did bench_snapshot_update "
             "run with --benchmark_out?)"
         )
-    gated = None
-    for bench in benchmarks:
-        if isinstance(bench, dict) and SNAPSHOT_GATED.match(
-                bench.get("name", "")):
-            gated = bench
-            break
-    if gated is None:
-        return False, (
-            "gated snapshot config missing: the report has "
-            f"{len(benchmarks)} benchmarks but none match "
-            "snapshot_update/incremental/d:4/k:10/delta:1pct"
-        )
-    speedup = gated.get("speedup_vs_rebuild")
-    if speedup is None:
-        return False, (
-            "gated snapshot config has no speedup_vs_rebuild counter (did "
-            "the rebuild series run first?)"
-        )
-    equal = gated.get("equal")
-    if equal != 1:
-        return False, (
-            "incremental skyband state is NOT bit-identical to the "
-            f"rebuild (equal={equal}): maintenance correctness is broken"
-        )
-    publish_ms = gated.get("publish_ms", 0.0)
-    summary = (
-        f"incremental skyband maintenance {speedup:.2f}x over rebuild on "
-        f"the gated 1% delta (floor {floor}x), bit-identical, publish "
-        f"{publish_ms:.2f}ms"
+    ok, message, gated = snapshot_point(
+        benchmarks, SNAPSHOT_GATED,
+        "snapshot_update/incremental/d:4/k:10/delta:1pct", floor)
+    if not ok:
+        return False, message
+    ok, message, member = snapshot_point(
+        benchmarks, SNAPSHOT_MEMBER_GATED,
+        "snapshot_update/incremental/d:4/k:10/member_deletes:1/delta:1pct",
+        MEMBER_DELETE_FLOOR)
+    if not ok:
+        return False, message
+    return True, (
+        "incremental skyband maintenance "
+        f"{gated['speedup_vs_rebuild']:.2f}x over rebuild on the gated 1% "
+        f"delta (floor {floor}x), {member['speedup_vs_rebuild']:.2f}x with "
+        f"a member delete (floor {MEMBER_DELETE_FLOOR}x), bit-identical, "
+        f"publish {gated.get('publish_ms', 0.0):.2f}ms"
     )
-    if speedup < floor:
-        return False, (
-            f"incremental maintenance speedup {speedup:.2f}x below the "
-            f"{floor}x floor"
-        )
-    return True, summary
 
 
 def self_test():
@@ -507,43 +530,80 @@ def self_test():
     ok, message = evaluate_cache([1, 2], 2.0)
     assert not ok, "non-object cache JSON must fail, not crash"
 
-    def snapshot_report(name, counters):
+    gated_name = "snapshot_update/incremental/d:4/k:10/delta:1pct"
+    member_name = ("snapshot_update/incremental/d:4/k:10/member_deletes:1"
+                   "/delta:1pct")
+    healthy = {"speedup_vs_rebuild": 40.0, "equal": 1.0, "publish_ms": 0.3}
+    member_healthy = {"speedup_vs_rebuild": 5.5, "equal": 1.0}
+
+    def snapshot_report(points):
         return {
             "benchmarks": [
                 {"name": "snapshot_update/rebuild/d:4/k:10/delta:1pct"
                          "/manual_time"},
-                {"name": name + "/manual_time", **counters},
+            ] + [
+                {"name": name + "/manual_time", **counters}
+                for name, counters in points.items()
             ]
         }
 
-    good_snapshot = snapshot_report(
-        "snapshot_update/incremental/d:4/k:10/delta:1pct",
-        {"speedup_vs_rebuild": 40.0, "equal": 1.0, "publish_ms": 0.3})
-    ok, _ = evaluate_snapshot(good_snapshot, 5.0)
-    assert ok, "healthy snapshot report must pass"
+    ok, message = evaluate_snapshot(
+        snapshot_report({gated_name: healthy, member_name: member_healthy}),
+        5.0)
+    assert ok, "healthy snapshot report must pass: " + message
 
     ok, message = evaluate_snapshot({}, 5.0)
     assert not ok and "no benchmark series" in message
 
     ok, message = evaluate_snapshot(
-        snapshot_report("snapshot_update/incremental/d:3/k:5/delta:1pct",
-                        {"speedup_vs_rebuild": 40.0, "equal": 1.0}), 5.0)
+        snapshot_report({
+            "snapshot_update/incremental/d:3/k:5/delta:1pct": healthy,
+            member_name: member_healthy}), 5.0)
     assert not ok and "gated snapshot config missing" in message
 
     ok, message = evaluate_snapshot(
-        snapshot_report("snapshot_update/incremental/d:4/k:10/delta:1pct",
-                        {"equal": 1.0}), 5.0)
+        snapshot_report({gated_name: {"equal": 1.0},
+                         member_name: member_healthy}), 5.0)
     assert not ok and "no speedup_vs_rebuild" in message
 
     ok, message = evaluate_snapshot(
-        snapshot_report("snapshot_update/incremental/d:4/k:10/delta:1pct",
-                        {"speedup_vs_rebuild": 40.0, "equal": 0.0}), 5.0)
+        snapshot_report({gated_name: {"speedup_vs_rebuild": 40.0,
+                                      "equal": 0.0},
+                         member_name: member_healthy}), 5.0)
     assert not ok and "NOT bit-identical" in message
 
     ok, message = evaluate_snapshot(
-        snapshot_report("snapshot_update/incremental/d:4/k:10/delta:1pct",
-                        {"speedup_vs_rebuild": 3.0, "equal": 1.0}), 5.0)
+        snapshot_report({gated_name: {"speedup_vs_rebuild": 3.0,
+                                      "equal": 1.0},
+                         member_name: member_healthy}), 5.0)
     assert not ok and "below" in message
+
+    # The member-delete gate: missing, slow and unequal reports fail.
+    ok, message = evaluate_snapshot(
+        snapshot_report({gated_name: healthy}), 5.0)
+    assert not ok and "gated snapshot config missing" in message
+    assert "member_deletes:1" in message
+
+    ok, message = evaluate_snapshot(
+        snapshot_report({gated_name: healthy,
+                         member_name: {"speedup_vs_rebuild": 2.5,
+                                       "equal": 1.0}}), 5.0)
+    assert not ok and "below the 4.0x floor" in message
+    assert "member_deletes:1" in message
+
+    ok, message = evaluate_snapshot(
+        snapshot_report({gated_name: healthy,
+                         member_name: {"speedup_vs_rebuild": 5.5,
+                                       "equal": 0.0}}), 5.0)
+    assert not ok and "NOT bit-identical" in message
+    assert "member_deletes:1" in message
+
+    # The member floor is fixed: lowering the 1% floor does not lower it.
+    ok, message = evaluate_snapshot(
+        snapshot_report({gated_name: healthy,
+                         member_name: {"speedup_vs_rebuild": 3.9,
+                                       "equal": 1.0}}), 1.0)
+    assert not ok and "member_deletes:1" in message
 
     ok, message = evaluate_snapshot([1, 2], 5.0)
     assert not ok, "non-object snapshot JSON must fail, not crash"

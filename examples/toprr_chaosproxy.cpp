@@ -11,9 +11,10 @@
 // cleanly: no crashes, no desyncs, no duplicate publishes, and a floor
 // on ultimately-completed queries.
 //
-//   toprr_chaosproxy --port 7081 --upstream_port 7080 \
-//     --reset_prob 0.002 --truncate_prob 0.002 \
-//     --delay_prob 0.001 --delay_ms 2500 --short_prob 0.05 --seed 7
+// For example (one command line):
+//   toprr_chaosproxy --port 7081 --upstream_port 7080 --seed 7
+//     --reset_prob 0.002 --truncate_prob 0.002 --short_prob 0.05
+//     --delay_prob 0.001 --delay_ms 2500
 #include <algorithm>
 #include <atomic>
 #include <chrono>

@@ -47,6 +47,9 @@ ToprrEngine::UpdateCounters ToprrEngine::update_counters() const {
       skyband_incremental_.load(std::memory_order_relaxed);
   counters.skyband_rebuilds =
       skyband_rebuilds_.load(std::memory_order_relaxed);
+  counters.promotion_rows = promotion_rows_.load(std::memory_order_relaxed);
+  counters.promotion_counted =
+      promotion_counted_.load(std::memory_order_relaxed);
   return counters;
 }
 
@@ -58,48 +61,45 @@ void ToprrEngine::BuildSkybandEntry(const SnapshotPtr& snap, int k,
   const bool base_built =
       base != nullptr && base->built.load(std::memory_order_acquire);
   const DatasetView view = snap->View();
-  KSkybandState state;
   if (base_built && base->version == snap->parent_id()) {
     // Incremental carry-forward along the delta (exact; see the
-    // correctness argument in topk/skyband.h).
-    state = KSkybandState{base->ids, base->counts};
-    entry->incremental = KSkybandApplyDelta(view, snap->live_ids(), k,
-                                            snap->delta(), &state);
+    // correctness argument in topk/skyband.h), starting from a copy of
+    // the parent's state: readers may still hold the parent entry.
+    entry->state = base->state;
+    KSkybandPromotionStats promotion;
+    entry->incremental =
+        KSkybandApplyDelta(view, snap->live_ids(), k, snap->delta(),
+                           &entry->state, &promotion);
+    promotion_rows_.fetch_add(promotion.rows, std::memory_order_relaxed);
+    promotion_counted_.fetch_add(promotion.counted,
+                                 std::memory_order_relaxed);
   } else {
     // No base, or one from a version other than the parent (the engine
     // skipped a version), whose state the delta does not apply to.
-    state = SortBasedKSkybandPool(view, snap->live_ids(), k);
+    entry->state = SortBasedKSkybandPool(view, snap->live_ids(), k);
   }
   (entry->incremental ? skyband_incremental_ : skyband_rebuilds_)
       .fetch_add(1, std::memory_order_relaxed);
-  entry->epoch = EpochFor(view, k, state.ids);
-  entry->ids = std::move(state.ids);
-  entry->counts = std::move(state.counts);
+  entry->epoch = EpochFor(k, entry->state.band);
   entry->built.store(true, std::memory_order_release);
 }
 
-uint64_t ToprrEngine::EpochFor(const DatasetView& view, int k,
-                               const std::vector<int>& ids) {
+uint64_t ToprrEngine::EpochFor(int k, const SumOrderedBand& band) {
   // The solve reads the skyband rows' values, not just their ids: two
   // unrelated roots may share ids.
-  std::vector<double> rows;
-  rows.reserve(ids.size() * view.dim());
-  for (const int id : ids) {
-    const double* p = view.Row(id);
-    rows.insert(rows.end(), p, p + view.dim());
-  }
   std::lock_guard<std::mutex> lock(epochs_mu_);
   for (auto it = recent_skybands_.begin(); it != recent_skybands_.end();
        ++it) {
-    if (it->k == k && it->ids == ids && it->rows.size() == rows.size() &&
-        std::memcmp(it->rows.data(), rows.data(),
-                    rows.size() * sizeof(double)) == 0) {
+    if (it->k == k && it->ids == band.ids &&
+        it->rows.size() == band.rows.size() &&
+        std::memcmp(it->rows.data(), band.rows.data(),
+                    band.rows.size() * sizeof(double)) == 0) {
       recent_skybands_.splice(recent_skybands_.begin(), recent_skybands_, it);
       return it->epoch;
     }
   }
   recent_skybands_.push_front(
-      RecentSkyband{k, ids, std::move(rows), next_epoch_++});
+      RecentSkyband{k, band.ids, band.rows, next_epoch_++});
   if (recent_skybands_.size() > kRecentSkybands) recent_skybands_.pop_back();
   return recent_skybands_.front().epoch;
 }
@@ -147,7 +147,7 @@ const std::vector<int>& ToprrEngine::KSkyband(int k) {
   // The map keeps the entry alive until the next SetSnapshot garbage
   // collection, which is exactly the documented lifetime of this
   // reference.
-  return entry->ids;
+  return entry->state.ids;
 }
 
 void ToprrEngine::SetSnapshot(SnapshotPtr snapshot) {
@@ -266,9 +266,10 @@ ToprrResult ToprrEngine::SolveBox(const SnapshotPtr& snap, int k,
   const SkybandEntryPtr skyband = GetSkyband(snap, k);
   const DatasetView view = snap->View();
   Timer filter_timer;
+  const std::vector<int>& members = skyband->state.ids;
   const std::vector<int> candidates =
-      options.use_rskyband_filter ? RSkyband(view, box, k, &skyband->ids)
-                                  : skyband->ids;
+      options.use_rskyband_filter ? RSkyband(view, box, k, &members)
+                                  : members;
   ToprrResult result = SolveToprrWithCandidates(
       view, k, PrefRegion::FromBox(box), candidates, options);
   result.stats.filter_seconds = filter_timer.Seconds();
@@ -294,10 +295,11 @@ ToprrResult ToprrEngine::SolveRegion(const SnapshotPtr& snap, int k,
   const SkybandEntryPtr skyband = GetSkyband(snap, k);
   const DatasetView view = snap->View();
   Timer filter_timer;
+  const std::vector<int>& members = skyband->state.ids;
   const std::vector<int> candidates =
       options.use_rskyband_filter
-          ? RSkybandVertices(view, region.vertices(), k, &skyband->ids)
-          : skyband->ids;
+          ? RSkybandVertices(view, region.vertices(), k, &members)
+          : members;
   ToprrResult result =
       SolveToprrWithCandidates(view, k, region, candidates, options);
   result.stats.filter_seconds = filter_timer.Seconds();
@@ -370,8 +372,8 @@ ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
   if (canon.InsideSimplex()) {
     root = PrefRegion::FromBox(canon);
     candidates = options.use_rskyband_filter
-                     ? RSkyband(view, canon, k, &skyband.ids)
-                     : skyband.ids;
+                     ? RSkyband(view, canon, k, &skyband.state.ids)
+                     : skyband.state.ids;
   } else {
     const Hyperplane simplex(Vec(canon.dim(), 1.0), 1.0);
     PrefRegionSplit split =
@@ -380,8 +382,8 @@ ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
       root = std::move(*split.below);
       candidates = options.use_rskyband_filter
                        ? RSkybandVertices(view, root.vertices(), k,
-                                          &skyband.ids)
-                       : skyband.ids;
+                                          &skyband.state.ids)
+                       : skyband.state.ids;
     } else {
       root_ok = false;
     }

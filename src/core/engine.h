@@ -20,10 +20,13 @@
 //  * SetSnapshot moves the engine to a newer version (typically
 //    MutableCatalog::Publish output). Per-k skybands are maintained
 //    *incrementally* across the snapshot delta (KSkybandApplyDelta):
-//    deletions of non-members are free, a member deletion rescans only
-//    the rows the deleted member dominated, and inserted rows are
-//    dominance-checked against the cached skyband (O(delta * skyband)).
-//    Only a delta deleting more than half of the members rebuilds.
+//    deletions of non-members are free, a member deletion counts only
+//    the rows the deleted member dominated that its certificate corner
+//    does not rule out, and inserted rows are dominance-checked against
+//    the cached skyband (O(delta * skyband)). Each entry carries the
+//    skyband's sum-ordered working form, so the next version starts from
+//    a copy of it. Only a delta deleting more than half of the members
+//    rebuilds.
 //  * A TopRR answer is fixed by the k-skyband's rows, not by the whole
 //    table: every top-k lies in the k-skyband. Each (k, version) skyband
 //    entry therefore carries an epoch, reused from the last few distinct
@@ -63,6 +66,7 @@
 #include "data/snapshot.h"
 #include "pref/pref_space.h"
 #include "pref/region.h"
+#include "topk/skyband.h"
 
 namespace toprr {
 
@@ -171,6 +175,11 @@ class ToprrEngine {
     uint64_t publishes_seen = 0;       // SetSnapshot calls that changed id
     uint64_t skyband_incremental = 0;  // skybands carried across a delta
     uint64_t skyband_rebuilds = 0;     // full SortBasedKSkybandPool builds
+    /// Rows a deleted skyband member dominated (the promotion scan's
+    /// input), and those its certificate corner did not reject (the rows
+    /// it dominator-counted); see topk/skyband.h.
+    uint64_t promotion_rows = 0;
+    uint64_t promotion_counted = 0;
   };
   UpdateCounters update_counters() const;
 
@@ -182,8 +191,9 @@ class ToprrEngine {
   struct SkybandEntry {
     std::once_flag once;
     std::atomic<bool> built{false};
-    std::vector<int> ids;     // ascending
-    std::vector<int> counts;  // per-member dominator counts (< k)
+    /// Ascending member ids (what solves read) plus the counts and the
+    /// sum-ordered working form the next version's carry starts from.
+    KSkybandState state;
     bool incremental = false;  // how the build ran (telemetry/tests)
     uint64_t version = 0;      // the snapshot id this entry belongs to
     /// Equal epochs imply equal ids and row values (and so equal
@@ -207,8 +217,7 @@ class ToprrEngine {
                          SkybandEntry* entry);
   /// The epoch of a built k-skyband: that of the recent skyband with the
   /// same k, ids and row values, or a fresh one.
-  uint64_t EpochFor(const DatasetView& view, int k,
-                    const std::vector<int>& ids);
+  uint64_t EpochFor(int k, const SumOrderedBand& band);
 
   /// Snapshot-pinned solve bodies behind the public Solve overloads.
   ToprrResult SolveBox(const SnapshotPtr& snap, int k, const PrefBox& box,
@@ -255,15 +264,19 @@ class ToprrEngine {
   std::atomic<uint64_t> publishes_seen_{0};
   std::atomic<uint64_t> skyband_incremental_{0};
   std::atomic<uint64_t> skyband_rebuilds_{0};
+  std::atomic<uint64_t> promotion_rows_{0};
+  std::atomic<uint64_t> promotion_counted_{0};
 
   // The last kRecentSkybands distinct skybands built, most recently used
   // first. A churning writer's deletes often undo its inserts, so the
   // skyband keeps returning to a recent state; a handful of entries
   // covers that and any mix of a few k.
+  // The members' sum order is fixed by their ids and row values, so
+  // comparing the sum-ordered ids and packed rows compares the sets.
   struct RecentSkyband {
     int k;
-    std::vector<int> ids;
-    std::vector<double> rows;  // the ids' row values, packed
+    std::vector<int> ids;      // SumOrderedBand::ids
+    std::vector<double> rows;  // SumOrderedBand::rows
     uint64_t epoch;
   };
   static constexpr size_t kRecentSkybands = 8;

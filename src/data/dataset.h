@@ -113,9 +113,12 @@ class DatasetView {
   /// Raw pointer to the row (d contiguous doubles). The chunk branch is
   /// perfectly predicted within one solve (a view is one or the other),
   /// so the hot scans cost the same as the direct Dataset accessors.
+  /// It tests `bases_`, which only a chunked view sets: a contiguous
+  /// view then never reaches the table lookup, even when inlined where
+  /// the compiler cannot prove its `contig_` non-null.
   const double* Row(size_t row) const {
     DCHECK_LT(row, n_);
-    if (contig_ != nullptr) return contig_ + row * d_;
+    if (bases_ == nullptr) return contig_ + row * d_;
     return bases_[row >> shift_] + (row & mask_) * d_;
   }
 
@@ -137,7 +140,8 @@ class DatasetView {
   size_t n_ = 0;
   size_t d_ = 0;
   const double* contig_ = nullptr;         // contiguous table, or null
-  const double* const* bases_ = nullptr;   // per-chunk row-0 pointers
+  const double* const* bases_ = nullptr;   // per-chunk row-0 pointers, or
+                                           // null for a contiguous view
   unsigned shift_ = 0;
   size_t mask_ = 0;
 };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -314,13 +315,18 @@ SnapshotPtr MutableCatalog::Publish() {
     snapshot->live_[static_cast<size_t>(id)] = 0;
     snapshot->delta_.deleted.push_back(id);
   }
+  // Live ids by merge, O(live) copies instead of a walk over every
+  // physical row: the parent's minus the (parent-live, distinct, sorted)
+  // deletes, then the inserts, which all lie past the parent's rows.
   snapshot->live_ids_.reserve(parent.live_ids_.size() +
                               snapshot->delta_.inserted.size());
-  for (size_t row = 0; row < new_rows; ++row) {
-    if (snapshot->live_[row] != 0) {
-      snapshot->live_ids_.push_back(static_cast<int>(row));
-    }
-  }
+  std::set_difference(parent.live_ids_.begin(), parent.live_ids_.end(),
+                      snapshot->delta_.deleted.begin(),
+                      snapshot->delta_.deleted.end(),
+                      std::back_inserter(snapshot->live_ids_));
+  snapshot->live_ids_.insert(snapshot->live_ids_.end(),
+                             snapshot->delta_.inserted.begin(),
+                             snapshot->delta_.inserted.end());
 
   // O(delta) content id: parent id mixed with the delta's ids and the
   // inserted rows' bytes (section markers keep insert/delete ambiguity

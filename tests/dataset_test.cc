@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "data/snapshot.h"
 
 namespace toprr {
@@ -152,6 +153,58 @@ TEST(SnapshotTest, PublishAssignsStableIdsAndTombstones) {
   EXPECT_EQ(v2->delta().deleted, (std::vector<int>{1}));
   // Staging area is clear: publishing again is a no-op.
   EXPECT_EQ(catalog.Publish(), v2);
+}
+
+// The live ids a walk of the tombstone bitmap over every physical row
+// finds.
+std::vector<int> WalkLiveIds(const DatasetSnapshot& snap) {
+  std::vector<int> ids;
+  for (size_t row = 0; row < snap.rows(); ++row) {
+    if (snap.IsLive(row)) ids.push_back(static_cast<int>(row));
+  }
+  return ids;
+}
+
+TEST(SnapshotTest, MergedLiveIdsMatchTheBitmapWalk) {
+  // Publish derives live_ids() from the parent's list by merge. Across
+  // random publishes -- deletes of root rows and of rows an earlier
+  // publish inserted, inserts unstaged again before their publish
+  // (tombstones), inserts crossing a chunk seam -- it must equal the
+  // bitmap walk.
+  DatasetBuilder builder(2);
+  for (int i = 0; i < 1000; ++i) builder.Append(Row2(0.001 * i, 0.5));
+  MutableCatalog catalog(builder.Build());
+  Rng rng(41);
+  int tombstones = 0;
+  int late_deletes = 0;
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE(round);
+    const SnapshotPtr parent = catalog.Current();
+    const int inserts = static_cast<int>(rng.UniformInt(0, 12));
+    for (int i = 0; i < inserts; ++i) {
+      const int id = catalog.StageInsert(Row2(rng.Uniform(), rng.Uniform()));
+      if (rng.Uniform() < 0.2) {
+        EXPECT_TRUE(catalog.StageDelete(id));
+        ++tombstones;
+      }
+    }
+    const std::vector<int>& live = parent->live_ids();
+    // The newest live row, once an earlier publish inserted one.
+    if (live.back() >= 1000 && catalog.StageDelete(live.back())) {
+      ++late_deletes;
+    }
+    const int deletes = static_cast<int>(rng.UniformInt(0, 8));
+    for (int i = 0; i < deletes; ++i) {
+      catalog.StageDelete(live[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(live.size()) - 1))]);
+    }
+    const SnapshotPtr snap = catalog.Publish();
+    EXPECT_EQ(snap->live_ids(), WalkLiveIds(*snap));
+    if (testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(tombstones, 0);
+  EXPECT_GT(late_deletes, 0);
+  EXPECT_GT(catalog.Current()->rows(), DatasetSnapshot::kChunkRows);
 }
 
 TEST(SnapshotTest, PublishSharesUnchangedChunksCopyOnWrite) {

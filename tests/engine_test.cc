@@ -389,8 +389,12 @@ TEST(EngineTest, SetSnapshotMaintainsSkybandIncrementally) {
   EXPECT_EQ(engine.KSkyband(4),
             SortBasedKSkybandPool(v3->View(), v3->live_ids(), 4).ids);
 
+  // No member has been deleted yet, so no promotion scan ran.
+  EXPECT_EQ(engine.update_counters().promotion_rows, 0u);
+  EXPECT_EQ(engine.update_counters().promotion_counted, 0u);
+
   // Deleting a member is incremental too: only the rows it dominated
-  // are rescanned.
+  // are checked for promotion, and the counters report that scan.
   catalog.StageDelete(engine.KSkyband(4).front());
   const SnapshotPtr v4 = catalog.Publish();
   engine.SetSnapshot(v4);
@@ -398,6 +402,14 @@ TEST(EngineTest, SetSnapshotMaintainsSkybandIncrementally) {
   EXPECT_EQ(engine.update_counters().skyband_rebuilds, 1u);
   EXPECT_EQ(engine.KSkyband(4),
             SortBasedKSkybandPool(v4->View(), v4->live_ids(), 4).ids);
+  KSkybandState carried =
+      SortBasedKSkybandPool(v3->View(), v3->live_ids(), 4);
+  KSkybandPromotionStats promotion;
+  ASSERT_TRUE(KSkybandApplyDelta(v4->View(), v4->live_ids(), 4,
+                                 v4->delta(), &carried, &promotion));
+  EXPECT_GT(promotion.rows, 0u);
+  EXPECT_EQ(engine.update_counters().promotion_rows, promotion.rows);
+  EXPECT_EQ(engine.update_counters().promotion_counted, promotion.counted);
 }
 
 TEST(EngineTest, SetSnapshotAcrossASkippedVersionRebuilds) {

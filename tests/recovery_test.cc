@@ -365,6 +365,50 @@ TEST(DurableCatalogTest, FreshDirBootstrapsThenRecoversWithDedupe) {
   }
 }
 
+TEST(DurableCatalogTest, RecoveredLiveIdsMatchTheBitmapWalk) {
+  // Publish merges live ids from the parent's list; recovery loads them
+  // from a checkpoint and replays the WAL tail through the same Publish.
+  // Each publish deletes a root row and the first row the previous
+  // publish inserted; a checkpoint midway makes recovery take both
+  // paths. The recovered head must equal the walk of its bitmap and the
+  // pre-crash list.
+  const std::string dir = MakeTempDir();
+  const Dataset bootstrap = MakeBootstrap(20, 3);
+  std::string error;
+  std::vector<int> live_before;
+  const auto walk = [](const DatasetSnapshot& snap) {
+    std::vector<int> ids;
+    for (size_t row = 0; row < snap.rows(); ++row) {
+      if (snap.IsLive(row)) ids.push_back(static_cast<int>(row));
+    }
+    return ids;
+  };
+  {
+    auto durable = DurableCatalog::Open(FastOptions(dir), &bootstrap, &error);
+    ASSERT_NE(durable, nullptr) << error;
+    for (int i = 1; i <= 6; ++i) {
+      std::vector<uint64_t> deletes = {static_cast<uint64_t>(i - 1)};
+      if (i > 1) deletes.push_back(static_cast<uint64_t>(20 + 2 * (i - 2)));
+      const auto outcome = durable->Publish(
+          {Vec{0.1 * i, 0.2, 0.3}, Vec{0.3, 0.2, 0.1 * i}}, deletes,
+          /*token=*/0, /*publish_id=*/0);
+      ASSERT_TRUE(outcome.ok) << outcome.error;
+      EXPECT_EQ(outcome.snapshot->live_ids(), walk(*outcome.snapshot));
+      if (i == 3) {
+        ASSERT_TRUE(durable->Checkpoint(&error)) << error;
+      }
+    }
+    live_before = durable->catalog()->Current()->live_ids();
+  }
+  auto durable = DurableCatalog::Open(FastOptions(dir), nullptr, &error);
+  ASSERT_NE(durable, nullptr) << error;
+  EXPECT_TRUE(durable->recovery().recovered);
+  EXPECT_EQ(durable->recovery().replayed_records, 3u);
+  const SnapshotPtr head = durable->catalog()->Current();
+  EXPECT_EQ(head->live_ids(), live_before);
+  EXPECT_EQ(head->live_ids(), walk(*head));
+}
+
 TEST(DurableCatalogTest, TornWalTailIsTruncatedOnRecovery) {
   SessionFiles session = RunSealedSession(3);
   const std::string scratch = MakeTempDir();

@@ -113,8 +113,8 @@ TEST(SkybandTest, PoolVariantMatchesFullScan) {
     const KSkybandState state =
         SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
     EXPECT_EQ(state.ids, SortBasedKSkyband(ds, k)) << "k=" << k;
-    ASSERT_EQ(state.counts.size(), state.ids.size());
-    for (const int count : state.counts) EXPECT_LT(count, k);
+    ASSERT_EQ(state.band.counts.size(), state.ids.size());
+    for (const int count : state.band.counts) EXPECT_LT(count, k);
     EXPECT_TRUE(std::is_sorted(state.ids.begin(), state.ids.end()));
   }
 }
@@ -148,8 +148,8 @@ Vec RandomRow(size_t d, bool ties, Rng& rng) {
 }
 
 // Carries `state` across `snap`'s delta and asserts it equals a rebuild
-// over the snapshot's live rows, ids and counts bit for bit. Returns
-// whether the carry ran incrementally.
+// over the snapshot's live rows bit for bit: ids, counts and the
+// sum-ordered working form. Returns whether the carry ran incrementally.
 bool ExpectCarriesExactly(const SnapshotPtr& snap, int k,
                           KSkybandState* state) {
   const bool incremental = KSkybandApplyDelta(
@@ -157,7 +157,9 @@ bool ExpectCarriesExactly(const SnapshotPtr& snap, int k,
   const KSkybandState rebuilt =
       SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
   EXPECT_EQ(state->ids, rebuilt.ids);
-  EXPECT_EQ(state->counts, rebuilt.counts);
+  EXPECT_EQ(state->band.ids, rebuilt.band.ids);
+  EXPECT_EQ(state->band.counts, rebuilt.band.counts);
+  EXPECT_TRUE(*state == rebuilt);
   return incremental;
 }
 
@@ -288,7 +290,7 @@ TEST(SkybandTest, EqualSumDominatorsAreCounted) {
   snap = catalog.Publish();
   EXPECT_TRUE(ExpectCarriesExactly(snap, k, &state));
   EXPECT_EQ(state.ids, (std::vector<int>{0, 1}));
-  EXPECT_EQ(state.counts, (std::vector<int>{0, 1}));
+  EXPECT_EQ(state.band.counts, (std::vector<int>{0, 1}));
 }
 
 TEST(SkybandTest, RandomizedDeltasStayExact) {
@@ -329,6 +331,143 @@ TEST(SkybandTest, RandomizedDeltasStayExact) {
       }
     }
   }
+}
+
+// Stages deletes of the `count` highest-sum members: the widest
+// dominance cones, so the largest promotion scans. Returns how many.
+int StageTopSumDeletes(MutableCatalog& catalog, const KSkybandState& state,
+                       int count) {
+  int staged = 0;
+  for (const int id : state.band.ids) {
+    if (staged == count) break;
+    if (catalog.StageDelete(id)) ++staged;
+  }
+  return staged;
+}
+
+TEST(SkybandTest, RowEqualToACertificateCornerIsCounted) {
+  // k = 2. Deleting row 0 leaves rows 1 and 2 as the only members, so
+  // its certificate corner is their minimum (0.5, 0.5). Row 3 equals the
+  // corner: no member need be strictly above it, so the certificate
+  // must leave it to the dominator count (which finds rows 1 and 2).
+  // Row 4 lies strictly below the corner in one coordinate and is
+  // rejected by the certificate alone.
+  MutableCatalog catalog(Dataset::FromRows(
+      {Vec{1.0, 1.0}, Vec{0.9, 0.5}, Vec{0.5, 0.9}, Vec{0.5, 0.5},
+       Vec{0.4, 0.5}}));
+  const int k = 2;
+  SnapshotPtr snap = catalog.Current();
+  KSkybandState state =
+      SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
+  ASSERT_EQ(state.ids, (std::vector<int>{0, 1, 2}));
+  catalog.StageDelete(0);
+  snap = catalog.Publish();
+  KSkybandPromotionStats stats;
+  EXPECT_TRUE(KSkybandApplyDelta(snap->View(), snap->live_ids(), k,
+                                 snap->delta(), &state, &stats));
+  EXPECT_EQ(stats.rows, 2u);     // rows 3 and 4
+  EXPECT_EQ(stats.counted, 1u);  // row 3 only
+  EXPECT_TRUE(state ==
+              SortBasedKSkybandPool(snap->View(), snap->live_ids(), k));
+  EXPECT_EQ(state.ids, (std::vector<int>{1, 2}));
+}
+
+TEST(SkybandTest, DuplicatesOfSurvivingMembersStayExact) {
+  // Every member gets one or two exact copies (equal rows do not
+  // dominate each other, so copies share their original's count); the
+  // top-sum deletes then hit originals and copies alike, leaving
+  // survivors whose duplicates sit on or below certificate corners.
+  for (const int k : {1, 2, 4}) {
+    SCOPED_TRACE(k);
+    Dataset ds = GenerateSynthetic(200, 3, Distribution::kIndependent, 30);
+    const SnapshotPtr root = DatasetSnapshot::FromDataset(ds);
+    const KSkybandState members =
+        SortBasedKSkybandPool(root->View(), root->live_ids(), k);
+    for (size_t i = 0; i < members.ids.size(); ++i) {
+      const double* row = ds.Row(static_cast<size_t>(members.ids[i]));
+      const Vec copy(std::vector<double>(row, row + 3));
+      for (size_t c = 0; c <= i % 2; ++c) ds.Append(copy);
+    }
+    MutableCatalog catalog(ds);
+    SnapshotPtr snap = catalog.Current();
+    KSkybandState state =
+        SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
+    for (int round = 0; round < 8; ++round) {
+      SCOPED_TRACE(round);
+      ASSERT_GT(StageTopSumDeletes(catalog, state, 1 + round % 2), 0);
+      snap = catalog.Publish();
+      ExpectCarriesExactly(snap, k, &state);
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(SkybandTest, EqualSumTiesStayExactUnderTopSumDeletes) {
+  // Grid rows: many members share an attribute sum, so the promotion's
+  // sum order, the band's tie-break by id and the equal-sum scans all
+  // matter.
+  Rng rng(31);
+  for (const int k : {1, 3, 10}) {
+    SCOPED_TRACE(k);
+    MutableCatalog catalog(TieHeavyDataset(400, 3, 32 + k));
+    SnapshotPtr snap = catalog.Current();
+    KSkybandState state =
+        SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
+    for (int round = 0; round < 10; ++round) {
+      SCOPED_TRACE(round);
+      for (int i = 0; i < 3; ++i) {
+        catalog.StageInsert(RandomRow(3, /*ties=*/true, rng));
+      }
+      StageTopSumDeletes(catalog, state, 1 + round % 3);
+      snap = catalog.Publish();
+      ExpectCarriesExactly(snap, k, &state);
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+TEST(SkybandTest, TopSumDeleteFuzzStaysExactAcrossDistributions) {
+  // Chains of 50 publishes, each deleting 1-3 of the highest-sum members
+  // on top of random inserts and non-member deletes, on independent,
+  // correlated and anti-correlated tables, d 2-5. The certificate must
+  // actually reject rows somewhere, or this would not test it.
+  Rng rng(33);
+  size_t rows = 0;
+  size_t counted = 0;
+  for (const Distribution dist :
+       {Distribution::kIndependent, Distribution::kCorrelated,
+        Distribution::kAnticorrelated}) {
+    for (size_t d = 2; d <= 5; ++d) {
+      const int k = d % 3 == 2 ? 10 : (d % 3 == 0 ? 3 : 1);
+      SCOPED_TRACE(testing::Message() << DistributionName(dist) << " d=" << d
+                                      << " k=" << k);
+      MutableCatalog catalog(GenerateSynthetic(400, d, dist, 40 + d));
+      SnapshotPtr snap = catalog.Current();
+      KSkybandState state =
+          SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
+      for (int round = 0; round < 50; ++round) {
+        const int inserts = static_cast<int>(rng.UniformInt(0, 4));
+        for (int i = 0; i < inserts; ++i) {
+          catalog.StageInsert(RandomRow(d, /*ties=*/false, rng));
+        }
+        StageDeletes(catalog, snap, state.ids, false,
+                     static_cast<int>(rng.UniformInt(0, 3)), rng);
+        StageTopSumDeletes(catalog, state,
+                           static_cast<int>(rng.UniformInt(1, 3)));
+        snap = catalog.Publish();
+        KSkybandPromotionStats stats;
+        KSkybandApplyDelta(snap->View(), snap->live_ids(), k, snap->delta(),
+                           &state, &stats);
+        rows += stats.rows;
+        counted += stats.counted;
+        EXPECT_TRUE(state == SortBasedKSkybandPool(snap->View(),
+                                                   snap->live_ids(), k))
+            << "round " << round;
+        if (testing::Test::HasFailure()) return;
+      }
+    }
+  }
+  EXPECT_GT(rows, counted);
 }
 
 }  // namespace
