@@ -269,6 +269,88 @@ TEST(RegionCacheTest, HitsBitIdenticalToColdSolves) {
   }
 }
 
+// A query box inside the simplex whose canonical box pokes past it: the
+// admitting miss partitions the canonical box clipped to the simplex.
+// Per axis j the canonical box spans cells [c_j, c_j + width] with the
+// upper cells summing to 257 (one cell past the simplex facet), and the
+// query spans [c_j + 0.3, c_j + width - 0.7] cells, so its upper corner
+// sums to 257 - 0.7 m cells and it stays inside.
+TEST(RegionCacheTest, SimplexClippedCanonicalRootStaysExact) {
+  const double quantum = 1.0 / 256.0;
+  for (const ToprrMethod method :
+       {ToprrMethod::kTas, ToprrMethod::kTasStar, ToprrMethod::kPac}) {
+    for (size_t d = 3; d <= 5; ++d) {
+      Dataset data = GenerateSynthetic(400, d, Distribution::kIndependent,
+                                       7200 + d);
+      const size_t m = d - 1;
+      const uint64_t width = d == 3 ? 6 : 3;
+      PrefBox box;
+      box.lo = Vec(m);
+      box.hi = Vec(m);
+      uint64_t spare = 257 - m * width;  // sum of the lower cells
+      for (size_t j = 0; j < m; ++j) {
+        const uint64_t cell = spare / (m - j);
+        spare -= cell;
+        box.lo[j] = (static_cast<double>(cell) + 0.3) * quantum;
+        box.hi[j] = (static_cast<double>(cell + width) - 0.7) * quantum;
+      }
+      for (const int k : {1, 5, 10}) {
+        ToprrEngine cold_engine(DatasetSnapshot::FromDataset(data));
+        ToprrEngine warm_engine(DatasetSnapshot::FromDataset(data));
+        warm_engine.EnableRegionCache({});
+        RegionCache& cache = *warm_engine.region_cache();
+        ASSERT_TRUE(box.InsideSimplex());
+        ASSERT_FALSE(cache.Canonicalize(box).InsideSimplex());
+        ToprrOptions options;
+        options.method = method;
+        ToprrOptions cached = options;
+        cached.use_region_cache = true;
+        SCOPED_TRACE(testing::Message()
+                     << ToprrMethodName(method) << " d=" << d << " k=" << k);
+
+        const ToprrResult cold = cold_engine.Solve(k, box, options);
+        const ToprrResult first = warm_engine.Solve(k, box, cached);
+        EXPECT_EQ(first.stats.scheduler.cache_deferred, 1u);
+        ExpectBitIdentical(cold, first);
+
+        const ToprrResult miss = warm_engine.Solve(k, box, cached);
+        EXPECT_EQ(miss.stats.scheduler.cache_misses, 1u);
+        EXPECT_EQ(miss.stats.scheduler.cache_deferred, 0u);
+        EXPECT_EQ(cache.Counters().insertions, 1u);
+
+        const ToprrResult hit = warm_engine.Solve(k, box, cached);
+        EXPECT_EQ(hit.stats.scheduler.cache_hits, 1u);
+        EXPECT_GT(hit.stats.scheduler.cache_tasks_saved, 0u);
+        ExpectBitIdentical(miss, hit);
+        ExpectSameRegionSemantics(data, cold, hit, 30000 + 100 * d + k);
+      }
+    }
+  }
+
+  // A sliver hugging the simplex facet: its canonical box's lowest corner
+  // lies on the facet, so the clip leaves no full-dimensional root and
+  // the admitted repeat is solved cold, inserting nothing.
+  Dataset data = GenerateSynthetic(400, 4, Distribution::kIndependent, 7300);
+  ToprrEngine engine(DatasetSnapshot::FromDataset(data));
+  engine.EnableRegionCache({});
+  ToprrEngine cold_engine(DatasetSnapshot::FromDataset(data));
+  PrefBox sliver;
+  sliver.lo = Vec{80.0 * quantum, 88.0 * quantum, 88.0 * quantum};
+  sliver.hi = Vec(3);
+  for (size_t j = 0; j < 3; ++j) sliver.hi[j] = sliver.lo[j] + 1e-13;
+  ASSERT_TRUE(sliver.InsideSimplex());
+  ToprrOptions cached;
+  cached.use_region_cache = true;
+  const ToprrResult first = engine.Solve(5, sliver, cached);
+  EXPECT_EQ(first.stats.scheduler.cache_deferred, 1u);
+  const ToprrResult repeat = engine.Solve(5, sliver, cached);
+  EXPECT_EQ(repeat.stats.scheduler.cache_misses, 1u);
+  EXPECT_EQ(repeat.stats.scheduler.cache_deferred, 0u);
+  EXPECT_EQ(engine.region_cache()->NumEntries(), 0u);
+  EXPECT_EQ(engine.region_cache()->Counters().insertions, 0u);
+  ExpectBitIdentical(cold_engine.Solve(5, sliver, {}), repeat);
+}
+
 // Region-form queries (the wire shape) reach the cache when they are
 // exact boxes.
 TEST(RegionCacheTest, RegionQueriesRecoverTheBoxAndHit) {
