@@ -1,35 +1,30 @@
-// Split/classify throughput of the flat-geometry region engine
-// (pref/flat_region.h) vs the legacy PrefRegion::Split, swept over
-// region dimension x polytope complexity.
+// Split/classify throughput of FlatRegion::Split (pref/flat_region.h),
+// swept over region dimension x polytope complexity.
 //
 // Each instance models one partition-phase split: a preference box is
 // pre-split r times by random centroid planes (always descending into
 // the larger child, so vertex counts grow with r), and the measured
-// operation splits the resulting polytope by one more centroid plane.
-// The legacy series runs PrefRegion::Split (per-vertex Vec allocations,
-// per-facet id vectors, std::map quantize dedup); the flat series runs
-// FlatRegion::Split out of a warmed GeomArena (fused EvalClassifyBatch
-// sweep, packed-key dedup, zero steady-state scratch growth), exactly as
-// TestAndSplitRegion does. Both produce bit-identical children
-// (flat_geometry_test).
+// operation splits the resulting polytope by one more centroid plane,
+// out of a warmed GeomArena exactly as TestAndSplitRegion does.
 //
-// The flat points carry a `speedup_vs_legacy` counter against the
-// matching legacy point (registered and therefore run first). CI's
-// bench-smoke job gates `region_split/flat/d:4/r:8` at >= 1.2x
-// (ci/check_bench_smoke.py --geometry).
+// Every point reports `splits_per_sec` and `arena_growth_events`, the
+// GeomArena scratch growths inside the timed loop: a warmed arena must
+// grow none. CI's bench-smoke job requires the large configuration
+// `region_split/flat/d:4/r:8` to report zero growth events and a
+// positive split rate (ci/check_bench_smoke.py --geometry). End-to-end
+// split cost is guarded by the partition and query metrics of the
+// serving benchmark (perfbench/).
 //
 // Emit the JSON trajectory with the stock google-benchmark flags:
 //   bench_region_split --benchmark_format=json
 //                      --benchmark_out=region_split.json
 #include <algorithm>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "pref/flat_region.h"
-#include "pref/region.h"
 
 namespace toprr {
 namespace bench {
@@ -50,13 +45,6 @@ struct SplitConfig {
 const SplitConfig kConfigs[] = {
     {2, 4}, {3, 4}, {4, 4}, {5, 4}, {3, 8}, {4, 8}, {5, 8},
 };
-
-// Legacy per-iteration seconds per config, seeded by the legacy series
-// (registered first) and read by the matching flat point.
-std::map<std::string, double>& LegacySeconds() {
-  static auto& seconds = *new std::map<std::string, double>();
-  return seconds;
-}
 
 struct SplitInstance {
   FlatRegion region;
@@ -103,8 +91,7 @@ std::vector<SplitInstance> MakeInstances(const SplitConfig& config,
   return instances;
 }
 
-void RunPoint(::benchmark::State& state, const SplitConfig& config,
-              bool use_flat) {
+void RunPoint(::benchmark::State& state, const SplitConfig& config) {
   const BenchConfig& global = GlobalConfig();
   const std::vector<SplitInstance> instances =
       MakeInstances(config, global.seed);
@@ -112,49 +99,26 @@ void RunPoint(::benchmark::State& state, const SplitConfig& config,
   for (const SplitInstance& inst : instances) {
     total_vertices += inst.region.num_vertices();
   }
-  // Legacy inputs converted up front (exact), so the measured loop times
-  // only the split itself on both series.
-  std::vector<PrefRegion> legacy_regions;
-  if (!use_flat) {
-    legacy_regions.reserve(instances.size());
-    for (const SplitInstance& inst : instances) {
-      legacy_regions.push_back(inst.region.ToRegion());
-    }
-  }
 
   GeomArena arena;
   std::optional<FlatRegion> below;
   std::optional<FlatRegion> above;
-  if (use_flat) {
-    // Warm the arena so the measured loop is the steady state the
-    // partition phase runs in.
-    for (const SplitInstance& inst : instances) {
-      inst.region.Split(inst.plane, 1e-10, arena, &below, &above);
-    }
+  // Warm the arena so the measured loop is the steady state the
+  // partition phase runs in.
+  for (const SplitInstance& inst : instances) {
+    inst.region.Split(inst.plane, 1e-10, arena, &below, &above);
   }
+  const uint64_t warm_growths = arena.counters().geom_arena_allocations;
 
   double total_seconds = 0.0;
   int64_t iterations = 0;
   size_t checksum = 0;  // child vertex total; keeps the optimizer honest
   for (auto _ : state) {
     Timer timer;
-    if (use_flat) {
-      for (const SplitInstance& inst : instances) {
-        inst.region.Split(inst.plane, 1e-10, arena, &below, &above);
-        if (below.has_value()) checksum += below->num_vertices();
-        if (above.has_value()) checksum += above->num_vertices();
-      }
-    } else {
-      for (size_t i = 0; i < instances.size(); ++i) {
-        const PrefRegionSplit split =
-            legacy_regions[i].Split(instances[i].plane, 1e-10);
-        if (split.below.has_value()) {
-          checksum += split.below->vertices().size();
-        }
-        if (split.above.has_value()) {
-          checksum += split.above->vertices().size();
-        }
-      }
+    for (const SplitInstance& inst : instances) {
+      inst.region.Split(inst.plane, 1e-10, arena, &below, &above);
+      if (below.has_value()) checksum += below->num_vertices();
+      if (above.has_value()) checksum += above->num_vertices();
     }
     const double seconds = timer.Seconds();
     total_seconds += seconds;
@@ -173,31 +137,17 @@ void RunPoint(::benchmark::State& state, const SplitConfig& config,
       static_cast<double>(total_vertices) /
       static_cast<double>(instances.size());
   state.counters["dim"] = static_cast<double>(config.dim);
-  if (!use_flat) {
-    LegacySeconds()[config.Label()] = per_iter;
-  } else {
-    const auto it = LegacySeconds().find(config.Label());
-    if (it != LegacySeconds().end() && it->second > 0.0 && per_iter > 0.0) {
-      state.counters["speedup_vs_legacy"] = it->second / per_iter;
-    }
-  }
+  state.counters["arena_growth_events"] = static_cast<double>(
+      arena.counters().geom_arena_allocations - warm_growths);
 }
 
 void RegisterAll() {
-  // The legacy series registers (and runs) first so every flat point
-  // finds its baseline.
-  for (const bool use_flat : {false, true}) {
-    for (const SplitConfig& config : kConfigs) {
-      const std::string name = std::string("region_split/") +
-                               (use_flat ? "flat/" : "legacy/") +
-                               config.Label();
-      ::benchmark::RegisterBenchmark(
-          name.c_str(),
-          [config, use_flat](::benchmark::State& state) {
-            RunPoint(state, config, use_flat);
-          })
-          ->UseManualTime();
-    }
+  for (const SplitConfig& config : kConfigs) {
+    const std::string name = "region_split/flat/" + config.Label();
+    ::benchmark::RegisterBenchmark(
+        name.c_str(),
+        [config](::benchmark::State& state) { RunPoint(state, config); })
+        ->UseManualTime();
   }
 }
 

@@ -47,12 +47,12 @@ int main(int argc, char** argv) {
     if (!impact.favorable.empty()) {
       std::printf(" [");
       for (size_t c = 0; c < impact.favorable.size(); ++c) {
-        const auto& verts = impact.favorable[c].vertices();
+        const FlatRegion& cell = impact.favorable[c];
         double lo = 1.0;
         double hi = 0.0;
-        for (const Vec& v : verts) {
-          lo = std::min(lo, v[0]);
-          hi = std::max(hi, v[0]);
+        for (size_t v = 0; v < cell.num_vertices(); ++v) {
+          lo = std::min(lo, cell.vertex(v)[0]);
+          hi = std::max(hi, cell.vertex(v)[0]);
         }
         std::printf("%s%.3f..%.3f", c > 0 ? ", " : "", lo, hi);
       }

@@ -271,7 +271,7 @@ ToprrResult ToprrEngine::SolveBox(const SnapshotPtr& snap, int k,
       options.use_rskyband_filter ? RSkyband(view, box, k, &members)
                                   : members;
   ToprrResult result = SolveToprrWithCandidates(
-      view, k, PrefRegion::FromBox(box), candidates, options);
+      view, k, FlatRegion::FromBox(box), candidates, options);
   result.stats.filter_seconds = filter_timer.Seconds();
   if (deferred) StampDeferred(&result);
   return result;
@@ -294,14 +294,14 @@ ToprrResult ToprrEngine::SolveRegion(const SnapshotPtr& snap, int k,
   }
   const SkybandEntryPtr skyband = GetSkyband(snap, k);
   const DatasetView view = snap->View();
+  const FlatRegion root = FlatRegion::FromRegion(region);
   Timer filter_timer;
   const std::vector<int>& members = skyband->state.ids;
   const std::vector<int> candidates =
-      options.use_rskyband_filter
-          ? RSkybandVertices(view, region.vertices(), k, &members)
-          : members;
+      options.use_rskyband_filter ? RSkybandVertices(view, root, k, &members)
+                                  : members;
   ToprrResult result =
-      SolveToprrWithCandidates(view, k, region, candidates, options);
+      SolveToprrWithCandidates(view, k, root, candidates, options);
   result.stats.filter_seconds = filter_timer.Seconds();
   if (deferred) StampDeferred(&result);
   return result;
@@ -366,23 +366,23 @@ ToprrResult ToprrEngine::SolveColdAndInsert(const SnapshotPtr& snap, int k,
   // outward snap poked past it (the clipped region still contains every
   // in-simplex query box that canonicalizes here).
   Timer filter_timer;
-  PrefRegion root;
+  FlatRegion root = FlatRegion::FromBox(canon);
   std::vector<int> candidates;
   bool root_ok = true;
   if (canon.InsideSimplex()) {
-    root = PrefRegion::FromBox(canon);
     candidates = options.use_rskyband_filter
                      ? RSkyband(view, canon, k, &skyband.state.ids)
                      : skyband.state.ids;
   } else {
     const Hyperplane simplex(Vec(canon.dim(), 1.0), 1.0);
-    PrefRegionSplit split =
-        PrefRegion::FromBox(canon).Split(simplex, options.eps);
-    if (split.below.has_value() && !split.below->empty()) {
-      root = std::move(*split.below);
+    GeomArena arena;
+    std::optional<FlatRegion> below;
+    std::optional<FlatRegion> above;
+    root.Split(simplex, options.eps, arena, &below, &above);
+    if (below.has_value() && !below->empty()) {
+      root = std::move(*below);
       candidates = options.use_rskyband_filter
-                       ? RSkybandVertices(view, root.vertices(), k,
-                                          &skyband.state.ids)
+                       ? RSkybandVertices(view, root, k, &skyband.state.ids)
                        : skyband.state.ids;
     } else {
       root_ok = false;

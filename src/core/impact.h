@@ -10,15 +10,15 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "pref/flat_region.h"
 #include "pref/pref_space.h"
-#include "pref/region.h"
 
 namespace toprr {
 
 struct ImpactRegionsResult {
   /// Convex cells of wR where `option_id` is in the top-k (a partition of
   /// the favorable part of wR into kIPRs; cells are not merged).
-  std::vector<PrefRegion> favorable;
+  std::vector<FlatRegion> favorable;
   /// Fraction of tested kIPR cells that are favorable (a cheap volume-free
   /// impact indicator; favorable cell count / total cell count).
   double cell_fraction = 0.0;

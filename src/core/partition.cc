@@ -288,9 +288,8 @@ std::vector<SplitPair> ExhaustiveFlipPairs(
 }
 
 // Fills the acceptance payload of `out` from an accepted task.
-void FillAcceptPayload(const DatasetView& data, const PartitionConfig& config,
-                       RegionTask& work, const ProfileSpan& profiles,
-                       RegionOutcome& out) {
+void FillAcceptPayload(const PartitionConfig& config, const RegionTask& work,
+                       const ProfileSpan& profiles, RegionOutcome& out) {
   out.accepted = true;
   const size_t num_vertices = work.region.num_vertices();
   out.vall.reserve(num_vertices);
@@ -299,19 +298,6 @@ void FillAcceptPayload(const DatasetView& data, const PartitionConfig& config,
   }
   if (config.collect_topk_union) {
     out.topk_ids = SortedEntryUnion(profiles, work.pruned);
-  }
-  if (config.collect_regions) {
-    // Evaluate the set at the centroid: ties are confined to cell
-    // boundaries, so the interior point reports the cell's true top-k
-    // set even when vertex evaluations are tie-ambiguous.
-    const TopkResult center_topk = ComputeTopKReduced(
-        data, work.candidates, work.region.Centroid(), work.k);
-    std::vector<int> ids = work.pruned;
-    ids.reserve(ids.size() + center_topk.entries.size());
-    for (const ScoredOption& e : center_topk.entries) ids.push_back(e.id);
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    out.cell = AcceptedRegion{work.region.ToRegion(), std::move(ids)};
   }
   if (config.collect_flat_cells) {
     // Copy (not move): `vall` above already snapshotted the vertices, and
@@ -382,7 +368,7 @@ RegionOutcome TestAndSplitRegion(const DatasetView& data,
     }
   }
   if (accepted) {
-    FillAcceptPayload(data, config, work, profiles, out);
+    FillAcceptPayload(config, work, profiles, out);
     return out;
   }
 
@@ -393,9 +379,7 @@ RegionOutcome TestAndSplitRegion(const DatasetView& data,
   // execution order (see core/scheduler.h).
   std::vector<SplitPair> pairs =
       ChooseSplitPairs(profiles, kernel, config, work.id);
-  // Splitting runs through the flat-geometry engine (fused classify
-  // sweep, arena scratch; bit-identical to PrefRegion::Split, see
-  // pref/flat_region.h).
+  // The split's scratch lives in the worker's arena (pref/flat_region.h).
   std::optional<FlatRegion> below;
   std::optional<FlatRegion> above;
   const auto try_split = [&](const Hyperplane& plane) {
@@ -440,20 +424,27 @@ RegionOutcome TestAndSplitRegion(const DatasetView& data,
   // within tolerance (see DESIGN.md, numeric robustness).
   LOG(DEBUG) << "no cutting hyperplane found for a non-invariant "
              << "region; accepting within tolerance";
-  FillAcceptPayload(data, config, work, profiles, out);
+  FillAcceptPayload(config, work, profiles, out);
   return out;
+}
+
+PartitionOutput PartitionPreferenceRegion(const DatasetView& data,
+                                          const std::vector<int>& candidates,
+                                          int k, const FlatRegion& root,
+                                          const PartitionConfig& config) {
+  CHECK_GT(k, 0);
+  CHECK_GE(candidates.size(), static_cast<size_t>(k))
+      << "candidate pool smaller than k";
+  PartitionScheduler scheduler(data, config);
+  return scheduler.Run(RegionTask{1, root, candidates, k, {}, nullptr});
 }
 
 PartitionOutput PartitionPreferenceRegion(const DatasetView& data,
                                           const std::vector<int>& candidates,
                                           int k, const PrefRegion& root,
                                           const PartitionConfig& config) {
-  CHECK_GT(k, 0);
-  CHECK_GE(candidates.size(), static_cast<size_t>(k))
-      << "candidate pool smaller than k";
-  PartitionScheduler scheduler(data, config);
-  return scheduler.Run(RegionTask{1, FlatRegion::FromRegion(root),
-                                  candidates, k, {}, nullptr});
+  return PartitionPreferenceRegion(data, candidates, k,
+                                   FlatRegion::FromRegion(root), config);
 }
 
 }  // namespace toprr

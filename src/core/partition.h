@@ -47,26 +47,17 @@ struct PartitionConfig {
   /// Also accumulate the union of top-k option ids over all accepted
   /// regions (the exact UTK option filter, Sec. 6.3 choice (iv)).
   bool collect_topk_union = false;
-  /// Also keep every accepted region with its top-k id set (the options
-  /// pruned by Lemma 5 on that branch are included). Used by the
-  /// reverse-top-k style impact-region API.
-  bool collect_regions = false;
   /// Fill PartitionOutput::scheduler with per-worker executor telemetry
   /// (tasks executed/stolen, steal failures, deque high-water). The
   /// counters are kept worker-local either way; this only controls
   /// whether they are copied out, so leaving it on costs nothing.
   bool collect_scheduler_stats = true;
-  /// Also keep every accepted cell's flat geometry with its heap-path id
+  /// Also keep every accepted cell's geometry with its heap-path id
   /// (ascending id order, same order their vertices enter `vall`). Feeds
   /// the cross-query region cache (core/region_cache.h), which replays
-  /// the cells by clipping instead of re-partitioning.
+  /// the cells by clipping instead of re-partitioning, and the impact
+  /// regions (core/impact.h).
   bool collect_flat_cells = false;
-};
-
-/// An accepted region together with its (order-insensitive) top-k set.
-struct AcceptedRegion {
-  PrefRegion region;
-  std::vector<int> topk_ids;  // sorted; union over vertices + Lemma-5 set
 };
 
 /// One accepted cell of the partition, addressable by its deterministic
@@ -82,7 +73,6 @@ struct FlatCell {
 struct PartitionOutput {
   std::vector<Vec> vall;        // accumulated defining vertices (raw)
   std::vector<int> topk_union;  // sorted ids (when collect_topk_union)
-  std::vector<AcceptedRegion> regions;  // when collect_regions
   /// Executor telemetry (when collect_scheduler_stats). Unlike every
   /// other field, its per-worker breakdown depends on thread timing and
   /// is NOT covered by the bit-identical-output guarantee; the total
@@ -102,6 +92,12 @@ struct PartitionOutput {
 
 /// Partitions `root` over the candidate option ids (a guaranteed superset
 /// of every top-k in the region, e.g. the r-skyband) for parameter k.
+PartitionOutput PartitionPreferenceRegion(const DatasetView& data,
+                                          const std::vector<int>& candidates,
+                                          int k, const FlatRegion& root,
+                                          const PartitionConfig& config);
+
+/// The same, for a root in query form (converted once with FromRegion).
 PartitionOutput PartitionPreferenceRegion(const DatasetView& data,
                                           const std::vector<int>& candidates,
                                           int k, const PrefRegion& root,

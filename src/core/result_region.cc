@@ -12,23 +12,12 @@
 #include "topk/topk.h"
 
 namespace toprr {
-namespace {
-
-std::vector<int64_t> QuantizeKey(const Vec& v, double tol) {
-  std::vector<int64_t> key(v.dim());
-  for (size_t i = 0; i < v.dim(); ++i) {
-    key[i] = static_cast<int64_t>(std::llround(v[i] / tol));
-  }
-  return key;
-}
-
-}  // namespace
 
 std::vector<Vec> DedupVertices(const std::vector<Vec>& vall, double tol) {
   std::vector<Vec> unique;
   std::map<std::vector<int64_t>, size_t> seen;
   for (const Vec& v : vall) {
-    if (seen.emplace(QuantizeKey(v, tol), unique.size()).second) {
+    if (seen.emplace(QuantizedCoords(v, tol), unique.size()).second) {
       unique.push_back(v);
     }
   }
@@ -80,7 +69,8 @@ void AssembleResultRegion(const DatasetView& data,
     Vec key_vec(d + 1);
     for (size_t j = 0; j < d; ++j) key_vec[j] = h.normal[j];
     key_vec[d] = h.offset;
-    if (!seen_halfspace.emplace(QuantizeKey(key_vec, 1e-10), true).second) {
+    if (!seen_halfspace.emplace(QuantizedCoords(key_vec, 1e-10), true)
+             .second) {
       continue;
     }
     // Top-corner margin: S_w(1,..,1) = sum(w) = 1.

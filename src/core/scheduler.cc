@@ -78,9 +78,6 @@ PartitionOutput AssembleOutput(const PartitionConfig& config, Tally tally,
       topk_union.insert(node.outcome.topk_ids.begin(),
                         node.outcome.topk_ids.end());
     }
-    if (config.collect_regions && node.outcome.cell.has_value()) {
-      out.regions.push_back(std::move(*node.outcome.cell));
-    }
     if (config.collect_flat_cells && node.outcome.flat_cell.has_value()) {
       out.flat_cells.push_back(
           FlatCell{node.id, std::move(*node.outcome.flat_cell)});

@@ -48,7 +48,6 @@
 #include "data/dataset.h"
 #include "geom/vec.h"
 #include "pref/flat_region.h"
-#include "pref/region.h"
 #include "topk/score_kernel.h"
 
 namespace toprr {
@@ -81,9 +80,8 @@ struct RegionOutcome {
   bool lemma5_pruned = false;
 
   // Acceptance payload (merged into PartitionOutput in task-id order).
-  std::vector<Vec> vall;           // the accepted region's vertices
-  std::vector<int> topk_ids;       // when config.collect_topk_union
-  std::optional<AcceptedRegion> cell;  // when config.collect_regions
+  std::vector<Vec> vall;                // the accepted region's vertices
+  std::vector<int> topk_ids;            // when config.collect_topk_union
   std::optional<FlatRegion> flat_cell;  // when config.collect_flat_cells
 
   // Split payload.

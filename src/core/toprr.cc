@@ -86,7 +86,7 @@ namespace {
 // the caller's candidate computation when candidates were precomputed.
 // A non-null `flat_cells` receives the accepted cells (id order) for the
 // region cache.
-ToprrResult SolveImpl(const DatasetView& data, int k, const PrefRegion& region,
+ToprrResult SolveImpl(const DatasetView& data, int k, const FlatRegion& region,
                       std::vector<int> candidates, double filter_seconds,
                       const ToprrOptions& options,
                       std::vector<FlatCell>* flat_cells = nullptr) {
@@ -155,7 +155,7 @@ ToprrResult SolveToprr(const DatasetView& data, int k, const PrefBox& region,
                                     ? RSkyband(data, region, k)
                                     : AllOptionIds(data);
   const double filter_seconds = filter_timer.Seconds();
-  return SolveImpl(data, k, PrefRegion::FromBox(region),
+  return SolveImpl(data, k, FlatRegion::FromBox(region),
                    std::move(candidates), filter_seconds, options);
 }
 
@@ -163,18 +163,18 @@ ToprrResult SolveToprrRegion(const DatasetView& data, int k,
                              const PrefRegion& region,
                              const ToprrOptions& options) {
   CheckInputs(data, k, region.dim());
+  const FlatRegion root = FlatRegion::FromRegion(region);
   Timer filter_timer;
-  std::vector<int> candidates =
-      options.use_rskyband_filter
-          ? RSkybandVertices(data, region.vertices(), k)
-          : AllOptionIds(data);
+  std::vector<int> candidates = options.use_rskyband_filter
+                                    ? RSkybandVertices(data, root, k)
+                                    : AllOptionIds(data);
   const double filter_seconds = filter_timer.Seconds();
-  return SolveImpl(data, k, region, std::move(candidates), filter_seconds,
+  return SolveImpl(data, k, root, std::move(candidates), filter_seconds,
                    options);
 }
 
 ToprrResult SolveToprrWithCandidates(const DatasetView& data, int k,
-                                     const PrefRegion& region,
+                                     const FlatRegion& region,
                                      const std::vector<int>& candidates,
                                      const ToprrOptions& options,
                                      std::vector<FlatCell>* flat_cells) {

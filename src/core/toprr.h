@@ -26,6 +26,7 @@
 #include "data/dataset.h"
 #include "geom/hyperplane.h"
 #include "geom/vec.h"
+#include "pref/flat_region.h"
 #include "pref/pref_space.h"
 #include "pref/region.h"
 
@@ -201,7 +202,7 @@ ToprrResult SolveToprrRegion(const DatasetView& data, int k,
 /// it in heap-path-id order (the region cache's entry payload); the solve
 /// itself is unaffected.
 ToprrResult SolveToprrWithCandidates(const DatasetView& data, int k,
-                                     const PrefRegion& region,
+                                     const FlatRegion& region,
                                      const std::vector<int>& candidates,
                                      const ToprrOptions& options = {},
                                      std::vector<FlatCell>* flat_cells =

@@ -1,7 +1,7 @@
 #include "core/utk_filter.h"
 
 #include "core/partition.h"
-#include "pref/region.h"
+#include "pref/flat_region.h"
 #include "topk/rskyband.h"
 
 namespace toprr {
@@ -16,7 +16,7 @@ std::vector<int> ExactTopkUnion(const Dataset& data, const PrefBox& region,
   config.collect_topk_union = true;
   config.time_budget_seconds = time_budget_seconds;
   const PartitionOutput out = PartitionPreferenceRegion(
-      data, candidates, k, PrefRegion::FromBox(region), config);
+      data, candidates, k, FlatRegion::FromBox(region), config);
   return out.topk_union;
 }
 

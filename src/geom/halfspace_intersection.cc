@@ -10,18 +10,6 @@
 #include "geom/lp.h"
 
 namespace toprr {
-namespace {
-
-// Quantized coordinate key for merging near-identical vertices.
-std::vector<int64_t> QuantizeKey(const Vec& v, double tol) {
-  std::vector<int64_t> key(v.dim());
-  for (size_t i = 0; i < v.dim(); ++i) {
-    key[i] = static_cast<int64_t>(std::llround(v[i] / tol));
-  }
-  return key;
-}
-
-}  // namespace
 
 std::optional<HalfspaceIntersectionResult> IntersectHalfspaces(
     const std::vector<Halfspace>& halfspaces, const Vec& interior,
@@ -61,7 +49,7 @@ std::optional<HalfspaceIntersectionResult> IntersectHalfspaces(
       continue;
     }
     Vec vertex = interior + f.normal / f.offset;
-    const auto key = QuantizeKey(vertex, options.merge_tol);
+    const auto key = QuantizedCoords(vertex, options.merge_tol);
     if (seen.emplace(key, result.vertices.size()).second) {
       result.vertices.push_back(std::move(vertex));
     }

@@ -87,11 +87,12 @@ bool ApproxEqual(const Vec& a, const Vec& b, double tol) {
   return true;
 }
 
-Vec Lerp(const Vec& a, const Vec& b, double t) {
-  DCHECK_EQ(a.dim(), b.dim());
-  Vec out(a.dim());
-  for (size_t i = 0; i < a.dim(); ++i) out[i] = a[i] + t * (b[i] - a[i]);
-  return out;
+std::vector<int64_t> QuantizedCoords(const Vec& v, double tol) {
+  std::vector<int64_t> key(v.dim());
+  for (size_t i = 0; i < v.dim(); ++i) {
+    key[i] = static_cast<int64_t>(std::llround(v[i] / tol));
+  }
+  return key;
 }
 
 }  // namespace toprr

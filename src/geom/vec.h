@@ -7,6 +7,7 @@
 #define TOPRR_GEOM_VEC_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <string>
 #include <vector>
@@ -97,8 +98,9 @@ double Distance(const Vec& a, const Vec& b);
 /// True if every |a[i]-b[i]| <= tol.
 bool ApproxEqual(const Vec& a, const Vec& b, double tol);
 
-/// Linear interpolation a + t*(b-a).
-Vec Lerp(const Vec& a, const Vec& b, double t);
+/// Quantized coordinate key for merging near-identical points:
+/// llround(v[i] / tol) per coordinate.
+std::vector<int64_t> QuantizedCoords(const Vec& v, double tol);
 
 }  // namespace toprr
 

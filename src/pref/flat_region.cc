@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "common/check.h"
 
@@ -62,27 +61,6 @@ FlatRegion FlatRegion::FromRegion(const PrefRegion& region) {
   return flat;
 }
 
-PrefRegion FlatRegion::ToRegion() const {
-  const size_t nv = num_vertices();
-  std::vector<Vec> vertices;
-  vertices.reserve(nv);
-  for (size_t v = 0; v < nv; ++v) vertices.push_back(VertexVec(v));
-  const size_t nf = num_facets();
-  std::vector<RegionFacet> facets;
-  facets.reserve(nf);
-  for (size_t f = 0; f < nf; ++f) {
-    RegionFacet facet;
-    const double* plane = facet_plane(f);
-    Vec normal(dim_);
-    for (size_t j = 0; j < dim_; ++j) normal[j] = plane[j];
-    facet.halfspace = Halfspace(std::move(normal), plane[dim_]);
-    facet.vertex_ids.assign(facet_ids(f), facet_ids(f) + facet_size(f));
-    facets.push_back(std::move(facet));
-  }
-  return PrefRegion::FromVerticesAndFacets(std::move(vertices),
-                                           std::move(facets));
-}
-
 FlatRegion FlatRegion::FromBox(const PrefBox& box) {
   return FromRegion(PrefRegion::FromBox(box));
 }
@@ -127,8 +105,7 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
   GeomCounters& counters = arena.counters_;
 
   // Classify every vertex in one fused sweep over the flat buffer
-  // (bit-identical svals: DotSpan is the same kernel Hyperplane::Eval
-  // uses).
+  // (DotSpan, the kernel Hyperplane::Eval uses).
   const size_t nv = num_vertices();
   double* sval = GrowTo(arena.sval_, nv, counters);
   Side* side = GrowTo(arena.side_, nv, counters);
@@ -146,8 +123,7 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
     return;
   }
 
-  // Per-vertex facet membership as bitsets (words of 64 facets), exactly
-  // as the legacy split builds them.
+  // Per-vertex facet membership as bitsets (words of 64 facets).
   const size_t nf = num_facets();
   const size_t words = (nf + 63) / 64;
   uint64_t* member = GrowTo(arena.member_, nv * words, counters);
@@ -161,9 +137,13 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
     }
   }
 
-  // The combinatorial adjacency oracle of the legacy split, verbatim but
-  // reading the pooled facet spans: u and w span an edge iff no third
-  // vertex lies on every facet they share.
+  // New vertices lie on edges that cross the plane. Vertex adjacency uses
+  // the exact combinatorial oracle of the double-description method: u
+  // and w span an edge iff no third vertex lies on every facet they
+  // share. (The naive "share >= m-1 facets" rule admits spurious edges on
+  // degenerate polytopes, whose fake vertices then cascade exponentially
+  // across recursive splits.) Only the smallest shared facet's vertices
+  // are scanned: a vertex on every shared facet is on that one.
   uint64_t* shared = GrowTo(arena.shared_, words, counters);
   const auto adjacent = [&](size_t i, size_t j) {
     const uint64_t* a = member + i * words;
@@ -203,13 +183,14 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
     return true;
   };
 
-  // Crossing points on below->above edges. The legacy split dedups them
-  // online through a std::map of quantize-key vectors (on-plane old
-  // vertices registered first, then candidates in generation order,
-  // first insertion wins). Here every registration instead appends one
-  // fixed-stride packed key to the arena and the dedup happens offline
-  // over a sorted handle array -- same equivalence classes, same
-  // winners, no node or key allocations.
+  // Crossing points on below->above edges, merged when their quantized
+  // keys coincide (degenerate edge intersections produce duplicates, and
+  // a duplicate would defeat the adjacency oracle in descendant regions).
+  // The on-plane old vertices are registered first, then the candidates
+  // in generation order; the first registration of a key wins. Every
+  // registration appends one fixed-stride packed key to the arena and
+  // the merge happens offline over a sorted handle array, so no node or
+  // key allocations.
   const double merge_tol = std::max(eps, 1e-12) * 16.0;
   arena.keys_.clear();
   arena.cross_coords_.clear();
@@ -228,8 +209,8 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
   }
   const uint32_t num_existing =
       static_cast<uint32_t>(arena.keys_.size() / m);
-  // Generate candidates in the legacy (below-outer, above-inner) order,
-  // staging each point and its shared-facet bitset.
+  // Generate candidates in (below-outer, above-inner) order, staging
+  // each point and its shared-facet bitset.
   for (size_t i = 0; i < nv; ++i) {
     if (side[i] != Side::kBelow) continue;
     for (size_t j = 0; j < nv; ++j) {
@@ -240,7 +221,6 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
       const double* b = vertex(j);
       EnsureAppend(arena.cross_coords_, m, counters);
       for (size_t c = 0; c < m; ++c) {
-        // Lerp's exact operation order: a + t*(b-a).
         arena.cross_coords_.push_back(a[c] + t * (b[c] - a[c]));
       }
       append_key(arena.cross_coords_.data() + arena.cross_coords_.size() -
@@ -251,11 +231,11 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
     }
   }
 
-  // Offline first-insertion-wins dedup: sort handles by (key, insertion
-  // order); the head of every equal-key run is the map's winner. A run
+  // Offline first-registration-wins merge: sort handles by (key,
+  // registration order); the head of every equal-key run wins. A run
   // headed by an on-plane registration keeps no candidate; otherwise the
   // earliest candidate survives. Surviving generations sorted ascending
-  // reproduce the legacy new-vertex order exactly.
+  // give the new vertices in generation order.
   const size_t num_keys = arena.keys_.size() / m;
   uint32_t* refs = GrowTo(arena.key_refs_, num_keys, counters);
   for (size_t r = 0; r < num_keys; ++r) {
@@ -297,9 +277,9 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
     return ((bits[fi / 64] >> (fi % 64)) & 1) != 0;
   };
 
-  // Assemble one child polytope for the requested side, in the legacy
-  // order: kept old vertices, then new vertices; original facets (the
-  // paper's cases 1-3), then the splitting facet.
+  // Assemble one child polytope for the requested side: kept old
+  // vertices, then new vertices; original facets (the paper's cases 1-3),
+  // then the splitting facet.
   int* old_to_new = GrowTo(arena.old_to_new_, nv, counters);
   int* new_ids = GrowTo(arena.new_ids_, std::max<size_t>(num_new, 1),
                         counters);
@@ -363,8 +343,7 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
       child.facet_ids_.push_back(new_ids[n]);
     }
     if (child.facet_ids_.size() - mark >= m) {
-      // Same sign convention as the legacy split (normal * -1.0 on the
-      // above side) so the stored planes match bitwise.
+      // The above side stores the negated plane (normal * -1.0).
       for (size_t j = 0; j < m; ++j) {
         child.facet_planes_.push_back(below_side ? plane.normal[j]
                                                  : plane.normal[j] * -1.0);
@@ -383,13 +362,6 @@ void FlatRegion::Split(const Hyperplane& plane, double eps, GeomArena& arena,
 
   build_child(/*below_side=*/true, below);
   build_child(/*below_side=*/false, above);
-}
-
-std::string FlatRegion::DebugString() const {
-  std::ostringstream out;
-  out << "FlatRegion(m=" << dim_ << ", |V|=" << num_vertices()
-      << ", |F|=" << num_facets() << ")";
-  return out.str();
 }
 
 }  // namespace toprr

@@ -1,41 +1,41 @@
-// Flat-geometry region engine: the SoA counterpart of PrefRegion for the
-// partition hot path (paper Sec. 4.2.2 splitting, re-laid-out for the
-// hardware).
+// The facet-based polytope of paper Sec. 4.2.2 in flat storage, and its
+// split: the one region type the partition, the region cache and the
+// simplex clip compute with. PrefRegion (pref/region.h) is the query and
+// wire form; FromRegion and FromBox convert into this one.
 //
-// PrefRegion stores one heap-allocated Vec per vertex and one id vector
-// per facet, and its Split dedups new vertices through a std::map keyed
-// on freshly allocated quantize vectors -- scattered allocation on every
-// region test. FlatRegion keeps the same polytope in four contiguous
-// buffers:
+// A FlatRegion keeps its polytope in four contiguous buffers:
 //
 //  * coords_:        nv x m row-major vertex coordinates (m fixed per
-//                    query), consumed directly by the scoring kernel's
-//                    sweeps -- no std::vector<Vec> re-gather;
+//                    query), swept in place by the scoring kernel;
 //  * facet_planes_:  nf x (m+1) halfspace rows (normal then offset);
 //  * facet_ids_ + facet_begin_: every facet's incident-vertex id list in
 //                    one pooled index buffer with prefix offsets.
 //
-// Split runs as one fused EvalClassifyBatch sweep over coords_, replaces
-// the quantize map with a sorted scratch array of fixed-stride packed
-// keys, and keeps every piece of scratch in a per-worker GeomArena (owned
-// by the scheduler's WorkerSlots next to the ScoreArena), so steady-state
-// splits grow no scratch at all -- growth events are counted and tests
-// assert the steady state (flat_geometry_test).
+// Split classifies every vertex in one fused EvalClassifyBatch sweep,
+// finds the crossing points of the cut on the edges given by the exact
+// combinatorial adjacency oracle, merges coincident points through a
+// sorted scratch array of quantized keys, and distributes the facets by
+// the paper's three cases. All scratch lives in a per-worker GeomArena
+// (owned by the scheduler's WorkerSlots next to the ScoreArena), so
+// steady-state splits grow no scratch at all -- growth events are
+// counted and flat_geometry_test asserts the steady state.
 //
-// Bit-identical contract: Split performs the same arithmetic in the same
-// order as PrefRegion::Split (classification through DotSpan, crossing
-// points in Lerp's operation order, first-insertion-wins dedup at the
-// same quantize tolerance, children assembled in the same vertex and
-// facet order), so its output polytopes equal the legacy ones bit for
-// bit. Asserted split by split (boxes, degenerate cuts, fuzzed split
-// chains) by flat_geometry_test; bench_region_split times the legacy
-// PrefRegion::Split as its baseline series.
+// Determinism contract: Split is a pure function of (region, plane,
+// eps). It evaluates in a fixed order -- classification through DotSpan,
+// crossing points as a + t*(b-a), first-generated-wins merging, children
+// assembled as kept vertices then new vertices and original facets then
+// the cut facet -- and reads no arena state across calls. The
+// partition's seq==par identity and the region cache's hit==miss
+// identity both rest on this: the same split in any worker, run, or
+// cache replay yields the same bytes. flat_geometry_test and the split
+// property tests check each child against the definition (facet and cut
+// feasibility, volume conservation, and the IntersectHalfspaces
+// enumeration of the parent's halfspaces plus the cut).
 #ifndef TOPRR_PREF_FLAT_REGION_H_
 #define TOPRR_PREF_FLAT_REGION_H_
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "geom/hyperplane.h"
@@ -51,7 +51,7 @@ struct GeomCounters {
   uint64_t geom_arena_allocations = 0;     // scratch growth events
 };
 
-/// Per-worker scratch for the flat split: classification rows, incidence
+/// Per-worker scratch for Split: classification rows, incidence
 /// bitsets, packed quantize keys, crossing-point staging, and child
 /// assembly maps. Buffer capacity never shrinks, so same-shaped splits
 /// stop allocating once warm; every growth event increments
@@ -85,16 +85,15 @@ class GeomArena {
 };
 
 /// A convex polytope in reduced preference coordinates with flat SoA
-/// storage. Same geometry model as PrefRegion (defining vertices +
-/// bounding facets with incident-vertex ids); conversions are exact
-/// coordinate copies in both directions.
+/// storage: defining vertices plus bounding facets with incident-vertex
+/// ids, the model of PrefRegion.
 class FlatRegion {
  public:
   FlatRegion() = default;
 
-  /// Exact conversion from the legacy representation (and back).
+  /// Exact conversion from the query form (coordinates copied, vertex
+  /// and facet order kept). The region must be WellFormed.
   static FlatRegion FromRegion(const PrefRegion& region);
-  PrefRegion ToRegion() const;
 
   /// Builds the region for an axis-aligned preference box, identical to
   /// FromRegion(PrefRegion::FromBox(box)).
@@ -127,22 +126,22 @@ class FlatRegion {
     return facet_begin_[f + 1] - facet_begin_[f];
   }
 
-  /// Mean of the defining vertices; same accumulation order as
-  /// PrefRegion::Centroid.
+  /// Mean of the defining vertices (inside the region by convexity).
   Vec Centroid() const;
 
   /// True if x satisfies all facet halfspaces within tol.
   bool Contains(const Vec& x, double tol = 1e-9) const;
 
-  /// Splits by `plane` into the negative-side and positive-side children
-  /// (either may come back empty when the plane does not cut), with all
-  /// scratch in `arena`. Bit-identical to PrefRegion::Split -- see the
-  /// file comment.
+  /// Splits by `plane` into the negative-side child (normal.x <= offset)
+  /// and the positive-side child, with all scratch in `arena`. Vertices
+  /// within eps of the plane join both children. When the plane does not
+  /// cut, the whole region comes back on its side and the other stays
+  /// empty; a child that would not be full-dimensional (fewer than m+1
+  /// vertices or facets) is left empty. Deterministic -- see the file
+  /// comment.
   void Split(const Hyperplane& plane, double eps, GeomArena& arena,
              std::optional<FlatRegion>* below,
              std::optional<FlatRegion>* above) const;
-
-  std::string DebugString() const;
 
  private:
   size_t dim_ = 0;

@@ -1,27 +1,8 @@
 #include "pref/region.h"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-#include <sstream>
-
 #include "common/check.h"
-#include "common/logging.h"
 
 namespace toprr {
-namespace {
-
-// Quantization used to merge duplicate vertices produced by degenerate
-// edge intersections.
-std::vector<int64_t> QuantizeKey(const Vec& v, double tol) {
-  std::vector<int64_t> key(v.dim());
-  for (size_t i = 0; i < v.dim(); ++i) {
-    key[i] = static_cast<int64_t>(std::llround(v[i] / tol));
-  }
-  return key;
-}
-
-}  // namespace
 
 PrefRegion PrefRegion::FromBox(const PrefBox& box) {
   const size_t m = box.dim();
@@ -61,225 +42,19 @@ PrefRegion PrefRegion::FromVerticesAndFacets(std::vector<Vec> vertices,
   return region;
 }
 
-Vec PrefRegion::Centroid() const {
-  CHECK(!vertices_.empty());
-  Vec c(dim());
-  for (const Vec& v : vertices_) c += v;
-  c /= static_cast<double>(vertices_.size());
-  return c;
-}
-
-bool PrefRegion::Contains(const Vec& x, double tol) const {
+bool PrefRegion::WellFormed(size_t m) const {
+  for (const Vec& v : vertices_) {
+    if (v.dim() != m) return false;
+  }
   for (const RegionFacet& f : facets_) {
-    if (!f.halfspace.Contains(x, tol)) return false;
+    if (f.halfspace.normal.dim() != m) return false;
+    for (int vid : f.vertex_ids) {
+      if (vid < 0 || static_cast<size_t>(vid) >= vertices_.size()) {
+        return false;
+      }
+    }
   }
   return true;
-}
-
-PrefRegionSplit PrefRegion::Split(const Hyperplane& plane,
-                                  double eps) const {
-  const size_t m = dim();
-  CHECK_GE(m, 1u);
-  PrefRegionSplit result;
-
-  // Classify defining vertices by signed distance to the plane.
-  const size_t nv = vertices_.size();
-  std::vector<double> sval(nv);
-  std::vector<Side> side(nv);
-  size_t num_below = 0;
-  size_t num_above = 0;
-  for (size_t i = 0; i < nv; ++i) {
-    sval[i] = plane.Eval(vertices_[i]);
-    side[i] = plane.Classify(vertices_[i], eps);
-    if (side[i] == Side::kBelow) ++num_below;
-    if (side[i] == Side::kAbove) ++num_above;
-  }
-  if (num_above == 0) {
-    result.below = *this;
-    return result;
-  }
-  if (num_below == 0) {
-    result.above = *this;
-    return result;
-  }
-
-  // Per-vertex facet membership as bitsets (words of 64 facets).
-  const size_t nf = facets_.size();
-  const size_t words = (nf + 63) / 64;
-  std::vector<uint64_t> member(nv * words, 0);
-  const auto member_of = [&](size_t v) { return member.data() + v * words; };
-  for (size_t fi = 0; fi < nf; ++fi) {
-    for (int vid : facets_[fi].vertex_ids) {
-      member[static_cast<size_t>(vid) * words + fi / 64] |=
-          uint64_t{1} << (fi % 64);
-    }
-  }
-
-  // New vertices on edges that cross the plane. Vertex adjacency uses the
-  // exact combinatorial oracle of the double-description method: u and w
-  // span an edge iff no third vertex lies on every facet they share. (The
-  // naive "share >= m-1 facets" rule admits spurious edges on degenerate
-  // polytopes, whose fake vertices then cascade exponentially across
-  // recursive splits.)
-  // Smallest facet (by incident-vertex count) per vertex pair is scanned
-  // instead of all vertices: any vertex containing the shared facet set is
-  // in particular on every shared facet.
-  const auto adjacent = [&](size_t i, size_t j, std::vector<uint64_t>& shared) {
-    const uint64_t* a = member_of(i);
-    const uint64_t* b = member_of(j);
-    size_t count = 0;
-    for (size_t w = 0; w < words; ++w) {
-      shared[w] = a[w] & b[w];
-      count += static_cast<size_t>(__builtin_popcountll(shared[w]));
-    }
-    if (count + 1 < m) return false;  // rank can be at most |shared|
-    // Dimension 1: the polytope is an interval, every (below, above) pair
-    // is the edge, and there are no shared facets to scan.
-    if (count == 0) return true;
-    // Scan candidates from the smallest shared facet only.
-    size_t best_facet = nf;
-    size_t best_size = SIZE_MAX;
-    for (size_t fi = 0; fi < nf; ++fi) {
-      if (((shared[fi / 64] >> (fi % 64)) & 1) != 0 &&
-          facets_[fi].vertex_ids.size() < best_size) {
-        best_size = facets_[fi].vertex_ids.size();
-        best_facet = fi;
-      }
-    }
-    DCHECK_LT(best_facet, nf);
-    for (int tv : facets_[best_facet].vertex_ids) {
-      const size_t t = static_cast<size_t>(tv);
-      if (t == i || t == j) continue;
-      const uint64_t* c = member_of(t);
-      bool contains = true;
-      for (size_t w = 0; w < words; ++w) {
-        if ((shared[w] & ~c[w]) != 0) {
-          contains = false;
-          break;
-        }
-      }
-      if (contains) return false;  // another vertex on the common face
-    }
-    return true;
-  };
-
-  struct NewVertex {
-    Vec point;
-    std::vector<int> shared_facets;  // sorted facet ids
-  };
-  std::vector<NewVertex> new_vertices;
-  std::map<std::vector<int64_t>, size_t> seen;
-  const double merge_tol = std::max(eps, 1e-12) * 16.0;
-  // Register on-plane old vertices so coincident new points merge into
-  // them instead of duplicating (duplicates would defeat the adjacency
-  // oracle in descendant regions).
-  for (size_t i = 0; i < nv; ++i) {
-    if (side[i] == Side::kOn) {
-      seen.emplace(QuantizeKey(vertices_[i], merge_tol), SIZE_MAX);
-    }
-  }
-  std::vector<uint64_t> shared(words);
-  for (size_t i = 0; i < nv; ++i) {
-    if (side[i] != Side::kBelow) continue;
-    for (size_t j = 0; j < nv; ++j) {
-      if (side[j] != Side::kAbove) continue;
-      if (!adjacent(i, j, shared)) continue;
-      const double t = sval[i] / (sval[i] - sval[j]);
-      Vec point = Lerp(vertices_[i], vertices_[j], t);
-      const auto key = QuantizeKey(point, merge_tol);
-      auto [it, inserted] = seen.emplace(key, new_vertices.size());
-      if (!inserted) continue;  // coincides with an existing vertex
-      std::vector<int> shared_ids;
-      for (size_t fi = 0; fi < nf; ++fi) {
-        if ((shared[fi / 64] >> (fi % 64)) & 1) {
-          shared_ids.push_back(static_cast<int>(fi));
-        }
-      }
-      new_vertices.push_back({std::move(point), std::move(shared_ids)});
-    }
-  }
-
-  // Assemble one child polytope for the requested side.
-  const auto build_child = [&](bool below_side) -> std::optional<PrefRegion> {
-    PrefRegion child;
-    std::vector<int> old_to_new(nv, -1);
-    // Old vertices kept on this side (strict side + on-plane).
-    for (size_t i = 0; i < nv; ++i) {
-      const bool keep = below_side ? side[i] != Side::kAbove
-                                   : side[i] != Side::kBelow;
-      if (keep) {
-        old_to_new[i] = static_cast<int>(child.vertices_.size());
-        child.vertices_.push_back(vertices_[i]);
-      }
-    }
-    std::vector<int> new_ids(new_vertices.size());
-    for (size_t i = 0; i < new_vertices.size(); ++i) {
-      new_ids[i] = static_cast<int>(child.vertices_.size());
-      child.vertices_.push_back(new_vertices[i].point);
-    }
-    // Distribute original facets (the paper's cases 1-3).
-    for (size_t fi = 0; fi < facets_.size(); ++fi) {
-      const RegionFacet& f = facets_[fi];
-      RegionFacet nf;
-      nf.halfspace = f.halfspace;
-      for (int vid : f.vertex_ids) {
-        if (old_to_new[vid] >= 0) nf.vertex_ids.push_back(old_to_new[vid]);
-      }
-      for (size_t i = 0; i < new_vertices.size(); ++i) {
-        if (std::binary_search(new_vertices[i].shared_facets.begin(),
-                               new_vertices[i].shared_facets.end(),
-                               static_cast<int>(fi))) {
-          nf.vertex_ids.push_back(new_ids[i]);
-        }
-      }
-      // A facet needs at least m vertices to be (m-1)-dimensional.
-      if (nf.vertex_ids.size() >= m) child.facets_.push_back(std::move(nf));
-    }
-    // The splitting facet itself: on-plane old vertices + all new ones.
-    RegionFacet split_facet;
-    if (below_side) {
-      split_facet.halfspace = Halfspace(plane.normal, plane.offset);
-    } else {
-      split_facet.halfspace = Halfspace(plane.normal * -1.0, -plane.offset);
-    }
-    for (size_t i = 0; i < nv; ++i) {
-      if (side[i] == Side::kOn && old_to_new[i] >= 0) {
-        split_facet.vertex_ids.push_back(old_to_new[i]);
-      }
-    }
-    for (size_t i = 0; i < new_vertices.size(); ++i) {
-      split_facet.vertex_ids.push_back(new_ids[i]);
-    }
-    if (split_facet.vertex_ids.size() >= m) {
-      child.facets_.push_back(std::move(split_facet));
-    }
-    // Full-dimensionality sanity: a bounded m-polytope needs >= m+1
-    // vertices and >= m+1 facets.
-    if (child.vertices_.size() < m + 1 || child.facets_.size() < m + 1) {
-      return std::nullopt;
-    }
-    return child;
-  };
-
-  result.below = build_child(/*below_side=*/true);
-  result.above = build_child(/*below_side=*/false);
-  return result;
-}
-
-std::string PrefRegion::DebugString() const {
-  std::ostringstream out;
-  out << "PrefRegion(m=" << dim() << ", |V|=" << vertices_.size()
-      << ", |F|=" << facets_.size() << ")\n";
-  for (const Vec& v : vertices_) out << "  v " << v.ToString() << "\n";
-  for (const RegionFacet& f : facets_) {
-    out << "  f " << f.halfspace.ToString() << " verts=[";
-    for (size_t i = 0; i < f.vertex_ids.size(); ++i) {
-      if (i > 0) out << ",";
-      out << f.vertex_ids[i];
-    }
-    out << "]\n";
-  }
-  return out.str();
 }
 
 }  // namespace toprr

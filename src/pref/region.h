@@ -6,11 +6,13 @@
 // augmented with the ids of incident vertices (supporting exact splits
 // without convex-hull recomputation, unlike the vertex-based model, and
 // without redundant halfspaces, unlike the halfspace-based model).
+//
+// PrefRegion is the query and wire form of a region. Solvers convert it
+// once into a FlatRegion (pref/flat_region.h), which holds the same
+// polytope in flat buffers and implements the split.
 #ifndef TOPRR_PREF_REGION_H_
 #define TOPRR_PREF_REGION_H_
 
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "geom/hyperplane.h"
@@ -26,8 +28,6 @@ struct RegionFacet {
   std::vector<int> vertex_ids;
 };
 
-struct PrefRegionSplit;
-
 /// A convex polytope in reduced preference coordinates (dimension m >= 1).
 class PrefRegion {
  public:
@@ -36,7 +36,8 @@ class PrefRegion {
   /// Builds the region for an axis-aligned preference box.
   static PrefRegion FromBox(const PrefBox& box);
 
-  /// Builds a region from explicit vertices and facets (used in tests).
+  /// Builds a region from explicit vertices and facets (the wire decoder
+  /// and tests). Nothing is validated; see WellFormed.
   static PrefRegion FromVerticesAndFacets(std::vector<Vec> vertices,
                                           std::vector<RegionFacet> facets);
 
@@ -45,29 +46,15 @@ class PrefRegion {
   const std::vector<RegionFacet>& facets() const { return facets_; }
   bool empty() const { return vertices_.empty(); }
 
-  /// Mean of the defining vertices (inside the region by convexity).
-  Vec Centroid() const;
-
-  /// True if x satisfies all facet halfspaces within tol.
-  bool Contains(const Vec& x, double tol = 1e-9) const;
-
-  /// Splits the region by `plane` following the paper's three-case facet
-  /// distribution. Vertices within eps of the plane join both children.
-  PrefRegionSplit Split(const Hyperplane& plane, double eps = 1e-10) const;
-
-  std::string DebugString() const;
+  /// True if every vertex and every facet normal has dimension m and
+  /// every facet vertex id indexes a vertex -- what the split reads
+  /// without checking. Regions from FromBox always pass; regions built
+  /// from untrusted input must be checked before they are solved.
+  bool WellFormed(size_t m) const;
 
  private:
   std::vector<Vec> vertices_;
   std::vector<RegionFacet> facets_;
-};
-
-/// The outcome of splitting by a hyperplane: the sub-region on the
-/// negative side (normal.x <= offset) and on the positive side. Either
-/// may be absent when the hyperplane does not actually cut the region.
-struct PrefRegionSplit {
-  std::optional<PrefRegion> below;
-  std::optional<PrefRegion> above;
 };
 
 }  // namespace toprr

@@ -28,16 +28,17 @@ namespace {
 constexpr int kListenBacklog = 64;
 
 // A query the server refuses to hand to the engine: the engine
-// CHECK-fails on out-of-range k or mismatched dimensions, and a hostile
-// frame must never be able to abort the process. Bounds come from the
-// engine's current snapshot (live rows, not physical rows).
+// CHECK-fails on out-of-range k or mismatched dimensions, the split
+// indexes by facet vertex ids unchecked, and a hostile frame must never
+// be able to abort or corrupt the process. Bounds come from the engine's
+// current snapshot (live rows, not physical rows).
 bool QueryIsSolvable(size_t live_rows, size_t dim,
                      const ToprrQuery& query) {
   if (query.k <= 0 || static_cast<size_t>(query.k) > live_rows) {
     return false;
   }
   if (query.region.empty()) return false;
-  return query.region.dim() + 1 == dim;
+  return query.region.dim() + 1 == dim && query.region.WellFormed(dim - 1);
 }
 
 // The stream is still in sync (framing was intact) but the payload did

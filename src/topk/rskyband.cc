@@ -85,13 +85,15 @@ std::vector<int> RSkyband(const DatasetView& data, const PrefBox& region, int k,
 }
 
 bool RDominatesVertices(const DatasetView& data, int a, int b,
-                        const std::vector<Vec>& vertices) {
+                        const FlatRegion& region) {
   if (a == b) return false;
   const double* pa = data.Row(a);
   const double* pb = data.Row(b);
+  const size_t num_vertices = region.num_vertices();
   bool strict = false;
-  for (const Vec& v : vertices) {
-    const double diff = ReducedScoreDiff(pa, pb, v);
+  for (size_t v = 0; v < num_vertices; ++v) {
+    const double diff =
+        ReducedScoreDiff(pa, pb, region.vertex(v), region.dim());
     if (diff < 0.0) return false;
     if (diff > 0.0) strict = true;
   }
@@ -101,17 +103,14 @@ bool RDominatesVertices(const DatasetView& data, int a, int b,
 }
 
 std::vector<int> RSkybandVertices(const DatasetView& data,
-                                  const std::vector<Vec>& vertices, int k,
+                                  const FlatRegion& region, int k,
                                   const std::vector<int>* candidates) {
   CHECK_GT(k, 0);
-  CHECK(!vertices.empty());
-  CHECK_EQ(vertices[0].dim() + 1, data.dim());
-  Vec interior(vertices[0].dim());
-  for (const Vec& v : vertices) interior += v;
-  interior /= static_cast<double>(vertices.size());
-  return RSkybandScan(data, FullPool(data, candidates), interior, k,
+  CHECK(!region.empty());
+  CHECK_EQ(region.dim() + 1, data.dim());
+  return RSkybandScan(data, FullPool(data, candidates), region.Centroid(), k,
                       [&](int a, int b) {
-                        return RDominatesVertices(data, a, b, vertices);
+                        return RDominatesVertices(data, a, b, region);
                       });
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "data/dataset.h"
+#include "pref/flat_region.h"
 #include "pref/pref_space.h"
 
 namespace toprr {
@@ -32,15 +33,15 @@ bool RDominates(const DatasetView& data, int a, int b, const PrefBox& region);
 std::vector<int> RSkyband(const DatasetView& data, const PrefBox& region, int k,
                           const std::vector<int>* candidates = nullptr);
 
-/// General-polytope variant: r-dominance over an arbitrary convex wR given
-/// by its vertex set (Lemma 1: a linear score difference is minimized at a
-/// vertex). Used for the paper's general convex-polytope preference
-/// regions (Sec. 3.1).
+/// General-polytope variant: r-dominance over an arbitrary convex wR,
+/// read from its vertices (Lemma 1: a linear score difference is
+/// minimized at a vertex). Used for the paper's general convex-polytope
+/// preference regions (Sec. 3.1) and the simplex-clipped cache roots.
 bool RDominatesVertices(const DatasetView& data, int a, int b,
-                        const std::vector<Vec>& vertices);
+                        const FlatRegion& region);
 
 std::vector<int> RSkybandVertices(const DatasetView& data,
-                                  const std::vector<Vec>& vertices, int k,
+                                  const FlatRegion& region, int k,
                                   const std::vector<int>* candidates =
                                       nullptr);
 

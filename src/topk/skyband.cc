@@ -27,7 +27,21 @@ double RowSum(const double* p, size_t d) {
   return s;
 }
 
-bool SumGreater(double a, double b) { return a > b; }
+// The band order: decreasing attribute sum, then coordinates
+// lexicographically descending, then id ascending. A dominator precedes
+// every row it dominates: left-to-right floating-point summation is
+// monotone in each addend, so its sum is >= the row's, and at an equal
+// sum -- where rounding may have absorbed a strict difference -- its
+// first differing coordinate is the larger one. Equal rows, which do not
+// dominate each other, fall back to the id. This is the order's
+// tie-break for two rows of equal sum; callers compare the sums first.
+bool PrecedesAtEqualSum(const double* pa, int ida, const double* pb, int idb,
+                        size_t d) {
+  for (size_t j = 0; j < d; ++j) {
+    if (pa[j] != pb[j]) return pa[j] > pb[j];
+  }
+  return ida < idb;
+}
 
 }  // namespace
 
@@ -41,22 +55,23 @@ std::vector<int> SortBasedKSkyband(const DatasetView& data, int k) {
   return SortBasedKSkybandPool(data, pool, k).ids;
 }
 
-size_t SumOrderedBand::Lo(double s) const {
-  return static_cast<size_t>(
-      std::lower_bound(sums.begin(), sums.end(), s, SumGreater) -
-      sums.begin());
-}
-
-size_t SumOrderedBand::Hi(double s) const {
-  return static_cast<size_t>(
-      std::upper_bound(sums.begin(), sums.end(), s, SumGreater) -
-      sums.begin());
+size_t SumOrderedBand::Position(int id, const double* p, double s) const {
+  size_t lo = 0;
+  size_t hi = size();
+  while (lo < hi) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (sums[mid] != s ? sums[mid] > s
+                       : PrecedesAtEqualSum(Row(mid), ids[mid], p, id, dim)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 void SumOrderedBand::Add(int id, const double* p, int count, double s) {
-  size_t pos = Lo(s);
-  while (pos < sums.size() && sums[pos] == s && ids[pos] < id) ++pos;
-  const auto at = static_cast<ptrdiff_t>(pos);
+  const auto at = static_cast<ptrdiff_t>(Position(id, p, s));
   ids.insert(ids.begin() + at, id);
   counts.insert(counts.begin() + at, count);
   sums.insert(sums.begin() + at, s);
@@ -101,12 +116,11 @@ KSkybandState SortBasedKSkybandPool(const DatasetView& data,
   }
   std::vector<size_t> perm(pool.size());
   std::iota(perm.begin(), perm.end(), 0);
-  // Decreasing attribute sum: any dominator of p precedes p (a dominator
-  // has componentwise >= values, hence a >= sum; exact ties with equal sum
-  // imply equal points, which do not dominate). Ties break id ascending.
+  // Band order: any dominator of a row is scanned before the row.
   std::sort(perm.begin(), perm.end(), [&](size_t a, size_t b) {
     if (sums[a] != sums[b]) return sums[a] > sums[b];
-    return pool[a] < pool[b];
+    return PrecedesAtEqualSum(data.Row(pool[a]), pool[a], data.Row(pool[b]),
+                              pool[b], d);
   });
 
   KSkybandState state;
@@ -124,7 +138,7 @@ KSkybandState SortBasedKSkybandPool(const DatasetView& data,
     }
     if (keep) {
       // The scan ran over every accepted member, and every dominator of
-      // `id` in the pool precedes it in sum order and was accepted (by
+      // `id` in the pool precedes it in band order and was accepted (by
       // transitivity a rejected dominator implies >= k accepted ones),
       // so `dominators` is id's exact pool-wide dominator count.
       const double* p = data.Row(id);
@@ -208,9 +222,9 @@ bool BelowCorner(const double* p, const double* q, size_t d) {
 // deleted member dominates can join. One pass over the live rows drops
 // those that the certificate of the first deleted member dominating them
 // rejects, and those with >= k dominators among the survivors; the rest
-// are taken in decreasing-sum order and their survivor count topped up
-// with the rows joined before them, which by the header's transitivity
-// argument is their exact count whenever that is < k. `members` are the
+// are taken in band order and their survivor count topped up with the
+// rows joined before them, which by the header's transitivity argument
+// is their exact count whenever that is < k. `members` are the
 // parent's member ids; `inserted` rows are skipped: the insert phase
 // folds them in afterwards. Rows that join are appended to `joined`.
 void ApplyMemberDeletes(const DatasetView& data,
@@ -232,8 +246,9 @@ void ApplyMemberDeletes(const DatasetView& data,
   for (const int x : gone) {
     const double* px = data.Row(x);
     gone_rows.insert(gone_rows.end(), px, px + d);
-    // Only members with sum <= x's can be dominated by x.
-    for (size_t i = band->Lo(RowSum(px, d)); i < band->size(); ++i) {
+    // Only the members x precedes in band order can be dominated by x.
+    for (size_t i = band->Position(x, px, RowSum(px, d)); i < band->size();
+         ++i) {
       if (RowDominates(px, band->Row(i), d)) --band->counts[i];
     }
   }
@@ -272,20 +287,21 @@ void ApplyMemberDeletes(const DatasetView& data,
       if (BelowCorner(p, q, d)) continue;
     }
     ++stats->counted;
-    // The prefix and the equal-sum band hold every member that can
-    // dominate the row; >= k of them already rules it out.
+    // The members preceding the row in band order are every member that
+    // can dominate it; >= k of them already rules it out.
     const double s = RowSum(p, d);
-    const size_t hi = band->Hi(s);
+    const size_t before = band->Position(id, p, s);
     int dominators = 0;
-    for (size_t i = 0; i < hi && dominators < k; ++i) {
+    for (size_t i = 0; i < before && dominators < k; ++i) {
       if (RowDominates(band->Row(i), p, d)) ++dominators;
     }
     if (dominators < k) candidates.push_back({s, id, dominators});
   }
   std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
+            [&](const Candidate& a, const Candidate& b) {
               if (a.sum != b.sum) return a.sum > b.sum;
-              return a.id < b.id;
+              return PrecedesAtEqualSum(data.Row(a.id), a.id,
+                                        data.Row(b.id), b.id, d);
             });
   // A candidate's survivor count is exact (its scan did not stop early),
   // so only the rows joined before it remain to be counted.
@@ -316,25 +332,16 @@ void ApplyInserts(const DatasetView& data, int k,
   for (const int r : inserted) {
     const double* p = data.Row(r);
     const double s = RowSum(p, d);
-    const size_t lo = band->Lo(s);
-    const size_t hi = band->Hi(s);
+    const size_t pos = band->Position(r, p, s);
     int dominators = 0;
-    for (size_t i = 0; i < lo && dominators < k; ++i) {
+    for (size_t i = 0; i < pos && dominators < k; ++i) {
       if (RowDominates(band->Row(i), p, d)) ++dominators;
     }
     bool evicts = false;
-    const auto bump = [&](size_t i) {
-      if (++band->counts[i] >= k) evicts = true;
-    };
-    for (size_t i = lo; i < hi; ++i) {
-      if (dominators < k && RowDominates(band->Row(i), p, d)) {
-        ++dominators;
-      } else if (RowDominates(p, band->Row(i), d)) {
-        bump(i);
+    for (size_t i = pos; i < band->size(); ++i) {
+      if (RowDominates(p, band->Row(i), d) && ++band->counts[i] >= k) {
+        evicts = true;
       }
-    }
-    for (size_t i = hi; i < band->size(); ++i) {
-      if (RowDominates(p, band->Row(i), d)) bump(i);
     }
     if (evicts) {
       // Evicted members remain live rows, so surviving members' counts
@@ -348,9 +355,9 @@ void ApplyInserts(const DatasetView& data, int k,
       }
       band->Erase(drop);
     }
-    // The prefix and band scans covered every member with sum >= s, so
-    // `dominators` is r's exact member-dominator count (and, while < k,
-    // its exact pool-wide count by the header's transitivity argument).
+    // The prefix scan covered every member preceding r, so `dominators`
+    // is r's exact member-dominator count (and, while < k, its exact
+    // pool-wide count by the header's transitivity argument).
     if (dominators < k) {
       band->Add(r, p, dominators, s);
       joined->push_back(r);

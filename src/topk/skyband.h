@@ -40,19 +40,20 @@
 // equal to q is not rejected: no member need be strictly above it.) The
 // rows that pass the certificate get an early-exit count against the
 // surviving members (stop at k); only the rows still under k -- whose
-// survivor count is then exact -- are sorted by sum and have the rows
-// joined before them added to it. Joining rows only add dominators, so
-// rejecting a row early never changes the result.
+// survivor count is then exact -- are sorted in band order and have the
+// rows joined before them added to it. Joining rows only add dominators,
+// so rejecting a row early never changes the result.
 //
-// The state also carries its *working form*: the members in decreasing
-// attribute-sum order with aligned counts, sums and a packed copy of
-// their rows (SumOrderedBand). A publish copies it, edits it in place
-// and keeps the ascending ids by merge, so a delta without member
-// deletes costs O(|delta| * |skyband| * d) plus that one copy -- no
-// re-sort, no gather from the table. engine_test/skyband_test assert
+// The state also carries its *working form*: the members in band order
+// (decreasing attribute sum first) with aligned counts, sums and a
+// packed copy of their rows (SumOrderedBand). A publish copies it, edits
+// it in place and keeps the ascending ids by merge, so a delta without
+// member deletes costs O(|delta| * |skyband| * d) plus that one copy --
+// no re-sort, no gather from the table. engine_test/skyband_test assert
 // bit-identical equality between the incremental path and a full
 // rebuild across insert, delete, member delete and mixed delta matrices,
-// certificate-corner rows, ties and duplicate rows included.
+// certificate-corner rows, ties, float-sum collisions and duplicate rows
+// included.
 #ifndef TOPRR_TOPK_SKYBAND_H_
 #define TOPRR_TOPK_SKYBAND_H_
 
@@ -67,22 +68,23 @@ namespace toprr {
 /// True if option a dominates option b (componentwise >=, one strict).
 bool Dominates(const DatasetView& data, int a, int b);
 
-/// Sort-based k-skyband: scans options in decreasing attribute-sum order,
-/// counting dominators among already-accepted skyband members (sufficient
-/// by transitivity). Returns ids sorted ascending.
+/// Sort-based k-skyband: scans options in band order (see
+/// SumOrderedBand), counting dominators among already-accepted skyband
+/// members (sufficient by transitivity). Returns ids sorted ascending.
 std::vector<int> SortBasedKSkyband(const DatasetView& data, int k);
 
-/// The members of a k-skyband in decreasing attribute-sum order (ties
-/// id-ascending) -- the order the rebuild scan uses -- with aligned
-/// dominator counts, sums and a packed copy of their rows (scans test
-/// every row against a run of members; packed, the members stay in
-/// cache instead of being gathered from the table). Dominance is
-/// componentwise >=, and left-to-right floating-point summation is
-/// monotone in each addend, so every dominator of a row has sum >= the
-/// row's sum and every row it dominates has sum <= it: a row only has to
-/// be tested against the higher-sum prefix for dominators and against
-/// the lower-sum suffix for dominatees. Equal-sum members (where rounding
-/// may have absorbed a strict difference) get the two-way check.
+/// The members of a k-skyband in band order -- decreasing attribute sum,
+/// then coordinates lexicographically descending, then id ascending, the
+/// order the rebuild scan uses -- with aligned dominator counts, sums and
+/// a packed copy of their rows (scans test every row against a run of
+/// members; packed, the members stay in cache instead of being gathered
+/// from the table). Every dominator precedes what it dominates in band
+/// order: left-to-right floating-point summation is monotone in each
+/// addend, so a dominator's sum is >= the row's, and at an equal sum
+/// (where rounding may have absorbed a strict difference) its first
+/// differing coordinate is the larger. So a row only has to be tested
+/// against the members before its Position for dominators and against
+/// the members from it on for dominatees.
 struct SumOrderedBand {
   size_t dim = 0;
   std::vector<int> ids;
@@ -92,9 +94,9 @@ struct SumOrderedBand {
 
   size_t size() const { return ids.size(); }
   const double* Row(size_t i) const { return rows.data() + i * dim; }
-  /// [Lo(s), Hi(s)): the members whose sum equals s.
-  size_t Lo(double s) const;
-  size_t Hi(double s) const;
+  /// The number of members preceding row `id` (row p, sum s) in band
+  /// order: its index, or where it would be inserted.
+  size_t Position(int id, const double* p, double s) const;
   /// Adds member `id` (row p, sum s) at its sorted position.
   void Add(int id, const double* p, int count, double s);
   /// Drops the members at the flagged positions, keeping the order.

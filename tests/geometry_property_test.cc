@@ -3,6 +3,7 @@
 // halfspace-intersection vertex enumeration.
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,8 @@
 #include "geom/convex_hull.h"
 #include "geom/halfspace_intersection.h"
 #include "geom/lp.h"
+#include "pref/flat_region.h"
 #include "pref/pref_space.h"
-#include "pref/region.h"
 
 namespace toprr {
 namespace {
@@ -77,6 +78,14 @@ TEST_P(HullExtremalityProperty, HullVerticesAreExactlyTheExtremePoints) {
 INSTANTIATE_TEST_SUITE_P(Seeds, HullExtremalityProperty,
                          ::testing::Range(1, 10));
 
+std::vector<Vec> VerticesOf(const FlatRegion& region) {
+  std::vector<Vec> vertices;
+  for (size_t v = 0; v < region.num_vertices(); ++v) {
+    vertices.push_back(region.VertexVec(v));
+  }
+  return vertices;
+}
+
 class SplitVsIntersectionProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(SplitVsIntersectionProperty, SplitChildrenMatchHalfspaceVertices) {
@@ -87,15 +96,18 @@ TEST_P(SplitVsIntersectionProperty, SplitChildrenMatchHalfspaceVertices) {
   Rng rng(seed * 101);
   const size_t m = 2 + static_cast<size_t>(seed % 3);
   const PrefBox box = RandomPrefBox(m, 0.2, rng);
-  const PrefRegion region = PrefRegion::FromBox(box);
+  const FlatRegion region = FlatRegion::FromBox(box);
   Vec n(m);
   for (size_t j = 0; j < m; ++j) n[j] = rng.Uniform(-1.0, 1.0);
   if (n.MaxAbs() < 0.2) n[0] = 1.0;
   const Vec point_inside = region.Centroid();
   const Hyperplane plane(n, Dot(n, point_inside));
-  const auto split = region.Split(plane);
-  ASSERT_TRUE(split.below.has_value());
-  ASSERT_TRUE(split.above.has_value());
+  GeomArena arena;
+  std::optional<FlatRegion> below;
+  std::optional<FlatRegion> above;
+  region.Split(plane, 1e-10, arena, &below, &above);
+  ASSERT_TRUE(below.has_value());
+  ASSERT_TRUE(above.has_value());
 
   const auto reference_vertices = [&](bool below) {
     std::vector<Halfspace> hs = box.Halfspaces();
@@ -107,13 +119,14 @@ TEST_P(SplitVsIntersectionProperty, SplitChildrenMatchHalfspaceVertices) {
     auto r = IntersectHalfspaces(hs, box.dim());
     return r.has_value() ? r->vertices : std::vector<Vec>{};
   };
-  const auto match = [&](const PrefRegion& child,
+  const auto match = [&](const FlatRegion& child,
                          const std::vector<Vec>& reference) {
     if (reference.empty()) return;  // enumeration degenerate; skip
+    const std::vector<Vec> vertices = VerticesOf(child);
     // Every reference vertex appears among the child's vertices.
     for (const Vec& rv : reference) {
       bool found = false;
-      for (const Vec& cv : child.vertices()) {
+      for (const Vec& cv : vertices) {
         if (ApproxEqual(cv, rv, 1e-6)) {
           found = true;
           break;
@@ -123,7 +136,7 @@ TEST_P(SplitVsIntersectionProperty, SplitChildrenMatchHalfspaceVertices) {
                          << seed << ")";
     }
     // And the child has no extra (out-of-polytope) vertices.
-    for (const Vec& cv : child.vertices()) {
+    for (const Vec& cv : vertices) {
       bool found = false;
       for (const Vec& rv : reference) {
         if (ApproxEqual(cv, rv, 1e-6)) {
@@ -135,8 +148,8 @@ TEST_P(SplitVsIntersectionProperty, SplitChildrenMatchHalfspaceVertices) {
                          << seed << ")";
     }
   };
-  match(*split.below, reference_vertices(true));
-  match(*split.above, reference_vertices(false));
+  match(*below, reference_vertices(true));
+  match(*above, reference_vertices(false));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SplitVsIntersectionProperty,
@@ -150,17 +163,20 @@ TEST(GeometryPropertyTest, RepeatedSplitsKeepExactVertexSets) {
   PrefBox box;
   box.lo = Vec(m, 0.1);
   box.hi = Vec(m, 0.3);
-  PrefRegion region = PrefRegion::FromBox(box);
+  FlatRegion region = FlatRegion::FromBox(box);
   std::vector<Halfspace> accumulated = box.Halfspaces();
+  GeomArena arena;
   for (int round = 0; round < 4; ++round) {
     Vec n(m);
     for (size_t j = 0; j < m; ++j) n[j] = rng.Uniform(-1.0, 1.0);
     if (n.MaxAbs() < 0.2) continue;
     const Hyperplane plane(n, Dot(n, region.Centroid()));
-    auto split = region.Split(plane);
-    if (!split.below.has_value() || !split.above.has_value()) continue;
+    std::optional<FlatRegion> below;
+    std::optional<FlatRegion> above;
+    region.Split(plane, 1e-10, arena, &below, &above);
+    if (!below.has_value() || !above.has_value()) continue;
     const bool keep_below = rng.Uniform() < 0.5;
-    region = keep_below ? std::move(*split.below) : std::move(*split.above);
+    region = keep_below ? std::move(*below) : std::move(*above);
     if (keep_below) {
       accumulated.emplace_back(plane.normal, plane.offset);
     } else {
@@ -169,10 +185,11 @@ TEST(GeometryPropertyTest, RepeatedSplitsKeepExactVertexSets) {
   }
   auto reference = IntersectHalfspaces(accumulated, m);
   ASSERT_TRUE(reference.has_value());
-  EXPECT_EQ(region.vertices().size(), reference->vertices.size());
+  EXPECT_EQ(region.num_vertices(), reference->vertices.size());
+  const std::vector<Vec> vertices = VerticesOf(region);
   for (const Vec& rv : reference->vertices) {
     bool found = false;
-    for (const Vec& cv : region.vertices()) {
+    for (const Vec& cv : vertices) {
       if (ApproxEqual(cv, rv, 1e-6)) {
         found = true;
         break;

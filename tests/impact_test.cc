@@ -23,8 +23,8 @@ PrefBox Interval(double lo, double hi) {
   return box;
 }
 
-bool Covered(const std::vector<PrefRegion>& cells, const Vec& x) {
-  for (const PrefRegion& cell : cells) {
+bool Covered(const std::vector<FlatRegion>& cells, const Vec& x) {
+  for (const FlatRegion& cell : cells) {
     if (cell.Contains(x, 1e-9)) return true;
   }
   return false;

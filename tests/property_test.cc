@@ -2,6 +2,7 @@
 // (paper lemmas and theorem), exercised on randomized inputs.
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include <gtest/gtest.h>
 
@@ -10,8 +11,8 @@
 #include "data/generator.h"
 #include "geom/convex_hull.h"
 #include "geom/lp.h"
+#include "pref/flat_region.h"
 #include "pref/pref_space.h"
-#include "pref/region.h"
 #include "topk/rskyband.h"
 #include "topk/topk.h"
 
@@ -198,15 +199,18 @@ TEST_P(SplitProperty, ChildrenPartitionParent) {
   Rng rng(seed * 53);
   const size_t m = 1 + static_cast<size_t>(seed % 4);  // 1..4 dims
   const PrefBox box = RandomPrefBox(m, 0.2, rng);
-  const PrefRegion region = PrefRegion::FromBox(box);
+  const FlatRegion region = FlatRegion::FromBox(box);
   // A plane through the centroid with a random normal always cuts.
   Vec n(m);
   for (size_t j = 0; j < m; ++j) n[j] = rng.Uniform(-1.0, 1.0);
   if (n.MaxAbs() < 0.1) n[0] = 1.0;
   const Hyperplane plane(n, Dot(n, region.Centroid()));
-  const auto split = region.Split(plane);
-  ASSERT_TRUE(split.below.has_value());
-  ASSERT_TRUE(split.above.has_value());
+  GeomArena arena;
+  std::optional<FlatRegion> below;
+  std::optional<FlatRegion> above;
+  region.Split(plane, 1e-10, arena, &below, &above);
+  ASSERT_TRUE(below.has_value());
+  ASSERT_TRUE(above.has_value());
   for (int trial = 0; trial < 400; ++trial) {
     Vec x(m);
     for (size_t j = 0; j < m; ++j) {
@@ -214,13 +218,13 @@ TEST_P(SplitProperty, ChildrenPartitionParent) {
     }
     const double side = plane.Eval(x);
     if (std::abs(side) < 1e-9) continue;
-    EXPECT_EQ(split.below->Contains(x, 1e-9), side < 0.0);
-    EXPECT_EQ(split.above->Contains(x, 1e-9), side > 0.0);
+    EXPECT_EQ(below->Contains(x, 1e-9), side < 0.0);
+    EXPECT_EQ(above->Contains(x, 1e-9), side > 0.0);
   }
   // Vertices of children lie inside the parent.
-  for (const PrefRegion* child : {&*split.below, &*split.above}) {
-    for (const Vec& v : child->vertices()) {
-      EXPECT_TRUE(region.Contains(v, 1e-8));
+  for (const FlatRegion* child : {&*below, &*above}) {
+    for (size_t v = 0; v < child->num_vertices(); ++v) {
+      EXPECT_TRUE(region.Contains(child->VertexVec(v), 1e-8));
     }
   }
 }

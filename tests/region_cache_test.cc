@@ -137,12 +137,19 @@ TEST(RegionCacheTest, BoxFromRegionRoundTripsAndRejectsNonBoxes) {
     EXPECT_EQ(recovered->lo[j], box.lo[j]);
     EXPECT_EQ(recovered->hi[j], box.hi[j]);
   }
-  // Clipping a corner off makes it a pentagon -- not a box.
-  const PrefRegion clipped =
-      *PrefRegion::FromBox(Box({0.1, 0.1}, {0.3, 0.3}))
-           .Split(Hyperplane(Vec{1.0, 1.0}, 0.55), 1e-10)
-           .below;
-  EXPECT_FALSE(BoxFromRegion(clipped).has_value());
+  // A triangle is not a box, and neither is a quadrilateral with a
+  // vertex off the corners of its bounding box.
+  const auto facet = [](Vec normal, double offset, std::vector<int> ids) {
+    return RegionFacet{Halfspace(std::move(normal), offset), std::move(ids)};
+  };
+  const PrefRegion triangle = PrefRegion::FromVerticesAndFacets(
+      {Vec{0.1, 0.1}, Vec{0.3, 0.1}, Vec{0.1, 0.3}},
+      {facet(Vec{0.0, -1.0}, -0.1, {0, 1}), facet(Vec{-1.0, 0.0}, -0.1, {0, 2}),
+       facet(Vec{1.0, 1.0}, 0.4, {1, 2})});
+  EXPECT_FALSE(BoxFromRegion(triangle).has_value());
+  const PrefRegion quad = PrefRegion::FromVerticesAndFacets(
+      {Vec{0.1, 0.1}, Vec{0.3, 0.1}, Vec{0.1, 0.3}, Vec{0.25, 0.25}}, {});
+  EXPECT_FALSE(BoxFromRegion(quad).has_value());
   // Degenerate boxes are rejected too.
   EXPECT_FALSE(
       BoxFromRegion(PrefRegion::FromBox(Box({0.1, 0.2}, {0.1, 0.3})))

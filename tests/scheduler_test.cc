@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "core/toprr.h"
 #include "data/generator.h"
@@ -22,6 +24,31 @@ void ExpectSameVecs(const std::vector<Vec>& a, const std::vector<Vec>& b,
     ASSERT_EQ(a[i].dim(), b[i].dim()) << what << "[" << i << "]";
     for (size_t j = 0; j < a[i].dim(); ++j) {
       EXPECT_EQ(a[i][j], b[i][j]) << what << "[" << i << "][" << j << "]";
+    }
+  }
+}
+
+// Exact equality of two accepted-cell lists: ids, vertex coordinates
+// and facet planes and incidences.
+void ExpectSameCells(const std::vector<FlatCell>& a,
+                     const std::vector<FlatCell>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << i;
+    const FlatRegion& ra = a[i].region;
+    const FlatRegion& rb = b[i].region;
+    EXPECT_EQ(ra.coords(), rb.coords()) << i;
+    ASSERT_EQ(ra.num_facets(), rb.num_facets()) << i;
+    for (size_t f = 0; f < ra.num_facets(); ++f) {
+      EXPECT_TRUE(std::equal(ra.facet_plane(f),
+                             ra.facet_plane(f) + ra.dim() + 1,
+                             rb.facet_plane(f)))
+          << i;
+      EXPECT_TRUE(std::equal(ra.facet_ids(f),
+                             ra.facet_ids(f) + ra.facet_size(f),
+                             rb.facet_ids(f), rb.facet_ids(f) +
+                                                  rb.facet_size(f)))
+          << i;
     }
   }
 }
@@ -141,7 +168,8 @@ TEST(SchedulerTest, NumThreadsZeroMeansHardware) {
 
 TEST(SchedulerTest, PartitionOutputIdenticalWithCollectors) {
   // The auxiliary collectors (top-k union, accepted cells) must merge
-  // deterministically too -- they feed the UTK filter and impact APIs.
+  // deterministically too -- they feed the UTK filter, the impact API and
+  // the region cache.
   const Dataset ds = GenerateSynthetic(400, 3, Distribution::kIndependent, 21);
   Rng rng(7003);
   const PrefBox box = RandomPrefBox(2, 0.05, rng);
@@ -151,7 +179,7 @@ TEST(SchedulerTest, PartitionOutputIdenticalWithCollectors) {
   config.use_lemma5 = true;
   config.use_kswitch = true;
   config.collect_topk_union = true;
-  config.collect_regions = true;
+  config.collect_flat_cells = true;
 
   PartitionConfig par_config = config;
   par_config.num_threads = 4;
@@ -164,12 +192,7 @@ TEST(SchedulerTest, PartitionOutputIdenticalWithCollectors) {
   ASSERT_FALSE(par.timed_out);
   EXPECT_EQ(seq.topk_union, par.topk_union);
   ExpectSameVecs(seq.vall, par.vall, "vall");
-  ASSERT_EQ(seq.regions.size(), par.regions.size());
-  for (size_t i = 0; i < seq.regions.size(); ++i) {
-    EXPECT_EQ(seq.regions[i].topk_ids, par.regions[i].topk_ids) << i;
-    ExpectSameVecs(seq.regions[i].region.vertices(),
-                   par.regions[i].region.vertices(), "region vertices");
-  }
+  ExpectSameCells(seq.flat_cells, par.flat_cells);
 }
 
 TEST(SchedulerTest, TimeBudgetStopsParallelRun) {
@@ -253,7 +276,7 @@ TEST(SchedulerTest, StealingExecutorStressByteIdenticalAcrossSeeds) {
     config.use_lemma7 = true;
     config.use_kswitch = true;
     config.collect_topk_union = true;
-    config.collect_regions = true;
+    config.collect_flat_cells = true;
     config.max_regions = 200000;        // budget-capped, cap not reached
     config.time_budget_seconds = 120.0; // ditto
     const PartitionOutput seq = PartitionPreferenceRegion(
@@ -277,12 +300,7 @@ TEST(SchedulerTest, StealingExecutorStressByteIdenticalAcrossSeeds) {
       EXPECT_EQ(seq.lemma5_prunes, par.lemma5_prunes);
       EXPECT_EQ(seq.topk_union, par.topk_union);
       ExpectSameVecs(seq.vall, par.vall, "vall");
-      ASSERT_EQ(seq.regions.size(), par.regions.size());
-      for (size_t i = 0; i < seq.regions.size(); ++i) {
-        EXPECT_EQ(seq.regions[i].topk_ids, par.regions[i].topk_ids) << i;
-        ExpectSameVecs(seq.regions[i].region.vertices(),
-                       par.regions[i].region.vertices(), "region vertices");
-      }
+      ExpectSameCells(seq.flat_cells, par.flat_cells);
       // Telemetry invariant: the per-worker executed counts partition the
       // tree exactly (worker attribution itself is timing-dependent).
       ASSERT_EQ(par.scheduler.workers.size(), static_cast<size_t>(workers));

@@ -219,6 +219,24 @@ TEST(ServeServerTest, ServerClampsRunawayThreadCounts) {
   }
 }
 
+// A triangle query region in reduced 2-d preference coordinates, with
+// one edit applied to its vertices or facets before it is sent.
+template <typename Edit>
+ToprrQuery TriangleQuery(Edit edit) {
+  std::vector<Vec> vertices = {Vec{0.15, 0.2}, Vec{0.25, 0.2},
+                               Vec{0.2, 0.3}};
+  std::vector<RegionFacet> facets = {
+      {Halfspace(Vec{0.0, -1.0}, -0.2), {0, 1}},
+      {Halfspace(Vec{-0.1, 0.05}, -0.005), {0, 2}},
+      {Halfspace(Vec{0.1, 0.05}, 0.035), {1, 2}}};
+  edit(vertices, facets);
+  ToprrQuery query;
+  query.k = 3;
+  query.region = PrefRegion::FromVerticesAndFacets(std::move(vertices),
+                                                   std::move(facets));
+  return query;
+}
+
 TEST(ServeServerTest, UnsolvableQueriesAnswerMalformed) {
   const Dataset data =
       GenerateSynthetic(300, 3, Distribution::kIndependent, 48);
@@ -226,23 +244,43 @@ TEST(ServeServerTest, UnsolvableQueriesAnswerMalformed) {
   ToprrClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
 
-  // k beyond the dataset, k = 0, and a dimension mismatch: each must be
-  // answered (kMalformed), while the valid query in the same batch is
+  // k beyond the dataset, k = 0, a dimension mismatch, and regions the
+  // codec passes but the split would index past (facet vertex ids out of
+  // range either way, a vertex of the wrong dimension): each must be
+  // answered (kMalformed), while the valid queries in the same batch are
   // solved -- a poisoned batch does not take the good queries down.
+  using Vertices = std::vector<Vec>;
+  using Facets = std::vector<RegionFacet>;
   std::vector<ToprrQuery> queries;
   queries.push_back(ToprrQuery::FromBox(1000000, Box({0.1, 0.1},
                                                      {0.2, 0.2})));
   queries.push_back(ToprrQuery::FromBox(0, Box({0.1, 0.1}, {0.2, 0.2})));
   queries.push_back(
       ToprrQuery::FromBox(3, Box({0.1, 0.1, 0.1}, {0.2, 0.2, 0.2})));
+  queries.push_back(
+      TriangleQuery([](Vertices&, Facets& f) { f[2].vertex_ids[0] = 3; }));
+  queries.push_back(TriangleQuery(
+      [](Vertices&, Facets& f) { f[1].vertex_ids[1] = 100000; }));
+  queries.push_back(
+      TriangleQuery([](Vertices&, Facets& f) { f[0].vertex_ids[0] = -1; }));
+  queries.push_back(TriangleQuery(
+      [](Vertices& v, Facets&) { v[1] = Vec{0.25, 0.2, 0.1}; }));
   queries.push_back(ToprrQuery::FromBox(3, Box({0.1, 0.1}, {0.2, 0.2})));
+  queries.push_back(TriangleQuery([](Vertices&, Facets&) {}));
   auto responses = client.QueryBatch(queries);
   ASSERT_TRUE(responses.has_value()) << client.last_error();
-  ASSERT_EQ(responses->size(), 4u);
-  EXPECT_EQ((*responses)[0].status, ServeStatus::kMalformed);
-  EXPECT_EQ((*responses)[1].status, ServeStatus::kMalformed);
-  EXPECT_EQ((*responses)[2].status, ServeStatus::kMalformed);
-  EXPECT_EQ((*responses)[3].status, ServeStatus::kOk);
+  ASSERT_EQ(responses->size(), 9u);
+  for (size_t i = 0; i < 7; ++i) {
+    EXPECT_EQ((*responses)[i].status, ServeStatus::kMalformed) << i;
+  }
+  EXPECT_EQ((*responses)[7].status, ServeStatus::kOk);
+  EXPECT_EQ((*responses)[8].status, ServeStatus::kOk);
+
+  // The server keeps serving.
+  auto next = client.QueryBatch(
+      {ToprrQuery::FromBox(3, Box({0.1, 0.1}, {0.2, 0.2}))});
+  ASSERT_TRUE(next.has_value()) << client.last_error();
+  EXPECT_EQ((*next)[0].status, ServeStatus::kOk);
 }
 
 TEST(ServeServerTest, UndecodableFrameGetsMalformedMarkerAndSyncHolds) {

@@ -39,6 +39,25 @@ TEST(DominatesTest, Basics) {
   EXPECT_FALSE(Dominates(ds, 0, 3));
 }
 
+// Rows whose attribute sums collide although one dominates another: the
+// first coordinate is 0.5 or 1, the others 0, 1e-17, 2e-17 or 0.5, so
+// the 1e-17 steps vanish from every sum (1 + 1e-17 rounds to 1), and
+// duplicates are frequent.
+Vec SumCollisionRow(size_t d, Rng& rng) {
+  static const double kValues[] = {0.0, 1e-17, 2e-17, 0.5};
+  Vec row(d);
+  row[0] = rng.Uniform() < 0.5 ? 0.5 : 1.0;
+  for (size_t j = 1; j < d; ++j) row[j] = kValues[rng.UniformInt(0, 3)];
+  return row;
+}
+
+Dataset SumCollisionDataset(size_t n, size_t d, uint64_t seed) {
+  Rng rng(seed);
+  Dataset ds;
+  for (size_t i = 0; i < n; ++i) ds.Append(SumCollisionRow(d, rng));
+  return ds;
+}
+
 TEST(SkybandTest, MatchesBruteForce) {
   for (Distribution dist : {Distribution::kIndependent,
                             Distribution::kCorrelated,
@@ -47,6 +66,17 @@ TEST(SkybandTest, MatchesBruteForce) {
     for (int k : {1, 2, 5}) {
       EXPECT_EQ(SortBasedKSkyband(ds, k), BruteForceKSkyband(ds, k))
           << DistributionName(dist) << " k=" << k;
+    }
+  }
+  // Row 1 dominates rows 0 and 2 at an equal float sum.
+  const Dataset tie = Dataset::FromRows(
+      {Vec{1.0, 0.0}, Vec{1.0, 1e-17}, Vec{1.0, 0.0}});
+  EXPECT_EQ(SortBasedKSkyband(tie, 1), (std::vector<int>{1}));
+  for (size_t d = 2; d <= 4; ++d) {
+    const Dataset ds = SumCollisionDataset(150, d, 12 + d);
+    for (int k : {1, 2, 5}) {
+      EXPECT_EQ(SortBasedKSkyband(ds, k), BruteForceKSkyband(ds, k))
+          << "sum collisions d=" << d << " k=" << k;
     }
   }
 }
@@ -429,26 +459,33 @@ TEST(SkybandTest, EqualSumTiesStayExactUnderTopSumDeletes) {
 TEST(SkybandTest, TopSumDeleteFuzzStaysExactAcrossDistributions) {
   // Chains of 50 publishes, each deleting 1-3 of the highest-sum members
   // on top of random inserts and non-member deletes, on independent,
-  // correlated and anti-correlated tables, d 2-5. The certificate must
-  // actually reject rows somewhere, or this would not test it.
+  // correlated and anti-correlated tables, and on sum-collision tables
+  // whose inserts collide too, d 2-5. The certificate must actually
+  // reject rows somewhere, or this would not test it.
   Rng rng(33);
   size_t rows = 0;
   size_t counted = 0;
-  for (const Distribution dist :
-       {Distribution::kIndependent, Distribution::kCorrelated,
-        Distribution::kAnticorrelated}) {
+  const Distribution kDists[] = {Distribution::kIndependent,
+                                 Distribution::kCorrelated,
+                                 Distribution::kAnticorrelated};
+  for (size_t table = 0; table < 4; ++table) {
+    const bool collide = table == 3;
+    const Distribution dist = kDists[collide ? 0 : table];
     for (size_t d = 2; d <= 5; ++d) {
       const int k = d % 3 == 2 ? 10 : (d % 3 == 0 ? 3 : 1);
-      SCOPED_TRACE(testing::Message() << DistributionName(dist) << " d=" << d
-                                      << " k=" << k);
-      MutableCatalog catalog(GenerateSynthetic(400, d, dist, 40 + d));
+      SCOPED_TRACE(testing::Message()
+                   << (collide ? "sum-collision" : DistributionName(dist))
+                   << " d=" << d << " k=" << k);
+      MutableCatalog catalog(collide ? SumCollisionDataset(400, d, 40 + d)
+                                     : GenerateSynthetic(400, d, dist, 40 + d));
       SnapshotPtr snap = catalog.Current();
       KSkybandState state =
           SortBasedKSkybandPool(snap->View(), snap->live_ids(), k);
       for (int round = 0; round < 50; ++round) {
         const int inserts = static_cast<int>(rng.UniformInt(0, 4));
         for (int i = 0; i < inserts; ++i) {
-          catalog.StageInsert(RandomRow(d, /*ties=*/false, rng));
+          catalog.StageInsert(collide ? SumCollisionRow(d, rng)
+                                      : RandomRow(d, /*ties=*/false, rng));
         }
         StageDeletes(catalog, snap, state.ids, false,
                      static_cast<int>(rng.UniformInt(0, 3)), rng);

@@ -72,14 +72,14 @@ TEST(VecTest, ApproxEqual) {
   EXPECT_FALSE(ApproxEqual(Vec{1.0}, Vec{1.0, 2.0}, 1e-9));
 }
 
-TEST(VecTest, Lerp) {
-  Vec a{0.0, 10.0};
-  Vec b{10.0, 0.0};
-  Vec mid = Lerp(a, b, 0.5);
-  EXPECT_DOUBLE_EQ(mid[0], 5.0);
-  EXPECT_DOUBLE_EQ(mid[1], 5.0);
-  EXPECT_TRUE(ApproxEqual(Lerp(a, b, 0.0), a, 1e-15));
-  EXPECT_TRUE(ApproxEqual(Lerp(a, b, 1.0), b, 1e-15));
+TEST(VecTest, QuantizedCoords) {
+  EXPECT_EQ(QuantizedCoords(Vec{0.5, -0.25}, 0.1),
+            (std::vector<int64_t>{5, -3}));
+  // Points within a fraction of the tolerance share a key.
+  EXPECT_EQ(QuantizedCoords(Vec{0.3, 0.7}, 1e-9),
+            QuantizedCoords(Vec{0.3 + 1e-11, 0.7 - 1e-11}, 1e-9));
+  EXPECT_NE(QuantizedCoords(Vec{0.3, 0.7}, 1e-9),
+            QuantizedCoords(Vec{0.3 + 1e-8, 0.7}, 1e-9));
 }
 
 TEST(VecTest, ToString) {
