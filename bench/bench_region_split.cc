@@ -11,7 +11,12 @@
 // GeomArena scratch growths inside the timed loop: a warmed arena must
 // grow none. CI's bench-smoke job requires the large configuration
 // `region_split/flat/d:4/r:8` to report zero growth events and a
-// positive split rate (ci/check_bench_smoke.py --geometry). End-to-end
+// positive split rate (ci/check_bench_smoke.py --geometry). That point
+// rotates 32 distinct eight-times-cut polytopes (~27 vertices each)
+// through one arena, so it checks that scratch warmed by a mixed set of
+// deep partition cells serves each of them again; the unit test
+// FlatRegionTest.SteadyStateSplitGrowsNoArenaScratch covers one box and
+// one of its children. End-to-end
 // split cost is guarded by the partition and query metrics of the
 // serving benchmark (perfbench/).
 //

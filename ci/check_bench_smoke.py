@@ -24,7 +24,9 @@ per-vertex scan on scored-candidates/sec.
 large configuration `region_split/flat/d:4/r:8` is missing, its
 `arena_growth_events` counter is missing or nonzero, or its
 `splits_per_sec` is not positive -- a warmed GeomArena must serve every
-split of the timed loop without growing its scratch. The split's
+split of the timed loop without growing its scratch. The point rotates
+32 distinct eight-times-cut polytopes through one arena, a mix of deep
+partition cells the unit test's single box does not reach. The split's
 end-to-end cost is guarded by the serving benchmark's partition and
 query metrics (perfbench/).
 
