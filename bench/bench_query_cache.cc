@@ -152,7 +152,6 @@ void RunPoint(::benchmark::State& state, const ReplayConfig& config,
   if (warm) engine.EnableRegionCache({});
 
   uint64_t hits = 0;
-  uint64_t partial = 0;
   uint64_t misses = 0;
   uint64_t tasks_saved = 0;
   double checksum = 0.0;
@@ -160,7 +159,6 @@ void RunPoint(::benchmark::State& state, const ReplayConfig& config,
     const std::vector<ToprrResult> results = engine.SolveBatch(queries, 1);
     for (const ToprrResult& r : results) {
       hits += r.stats.scheduler.cache_hits;
-      partial += r.stats.scheduler.cache_partial_hits;
       misses += r.stats.scheduler.cache_misses;
       tasks_saved += r.stats.scheduler.cache_tasks_saved;
       checksum += static_cast<double>(r.stats.vall_unique);
@@ -190,11 +188,10 @@ void RunPoint(::benchmark::State& state, const ReplayConfig& config,
     ColdSeconds()[config.Label()] = timing.median_seconds;
     return;
   }
-  const uint64_t classified = hits + partial + misses;
+  const uint64_t classified = hits + misses;
   state.counters["hit_rate"] =
       classified > 0
-          ? static_cast<double>(hits + partial) /
-                static_cast<double>(classified)
+          ? static_cast<double>(hits) / static_cast<double>(classified)
           : 0.0;
   state.counters["tasks_saved"] = static_cast<double>(tasks_saved);
   // Guard against a bypassing replay masquerading as a fast one: a warm

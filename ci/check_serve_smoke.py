@@ -144,7 +144,6 @@ def evaluate_cache(report, p99_bound_ms, hit_rate_floor):
     summary = (
         f"{base}; cache hit rate {hit_rate:.3f} "
         f"(floor {hit_rate_floor:.2f}), {cache.get('hits', 0)} hits / "
-        f"{cache.get('partial_hits', 0)} partial / "
         f"{cache.get('misses', 0)} misses, "
         f"{tasks_saved} partition tasks saved"
     )
@@ -372,7 +371,7 @@ def self_test():
     assert ok
 
     good_cache = dict(good, cache={
-        "hits": 90, "partial_hits": 5, "misses": 5, "bypass": 0,
+        "hits": 95, "misses": 5, "bypass": 0,
         "hit_rate": 0.95, "tasks_saved": 12345,
     })
     ok, _ = evaluate_cache(good_cache, 1000.0, 0.5)

@@ -203,7 +203,6 @@ int main(int argc, char** argv) {
       uint64_t split_verts = 0;
       uint64_t geom_allocs = 0;
       uint64_t cache_hits = 0;
-      uint64_t cache_partial = 0;
       uint64_t cache_misses = 0;
       uint64_t cache_deferred = 0;
       uint64_t cache_tasks_saved = 0;
@@ -217,7 +216,6 @@ int main(int argc, char** argv) {
         split_verts += r.stats.scheduler.TotalSplitVerticesClassified();
         geom_allocs += r.stats.scheduler.TotalGeomArenaAllocations();
         cache_hits += r.stats.scheduler.cache_hits;
-        cache_partial += r.stats.scheduler.cache_partial_hits;
         cache_misses += r.stats.scheduler.cache_misses;
         cache_deferred += r.stats.scheduler.cache_deferred;
         cache_tasks_saved += r.stats.scheduler.cache_tasks_saved;
@@ -238,10 +236,9 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(geom_allocs));
       if (cache) {
         std::printf("region-cache totals over the batch: hits=%llu "
-                    "partial=%llu misses=%llu deferred=%llu "
+                    "misses=%llu deferred=%llu "
                     "tasks_saved=%llu\n",
                     static_cast<unsigned long long>(cache_hits),
-                    static_cast<unsigned long long>(cache_partial),
                     static_cast<unsigned long long>(cache_misses),
                     static_cast<unsigned long long>(cache_deferred),
                     static_cast<unsigned long long>(cache_tasks_saved));

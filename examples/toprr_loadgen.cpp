@@ -92,7 +92,6 @@ struct WorkerReport {
   // Region-cache outcomes reported back by the server (ServeQueryStats),
   // plus per-class server-side solve times for the percentile lines.
   uint64_t cache_hits = 0;
-  uint64_t cache_partial_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t cache_bypass = 0;
   uint64_t cache_tasks_saved = 0;
@@ -333,14 +332,11 @@ void RunConnection(const std::string& host, int port, size_t dim, int k,
           ++report->cache_hits;
           report->hit_solve_millis.push_back(solve_millis);
           break;
-        case serve::CacheLookup::kPartial:
-          ++report->cache_partial_hits;
-          report->hit_solve_millis.push_back(solve_millis);
-          break;
         case serve::CacheLookup::kMiss:
           ++report->cache_misses;
           report->miss_solve_millis.push_back(solve_millis);
           break;
+        case serve::CacheLookup::kPartial:  // reserved; never answered
         case serve::CacheLookup::kBypass:
           ++report->cache_bypass;
           break;
@@ -762,7 +758,6 @@ int main(int argc, char** argv) {
                             report.rpc_millis.begin(),
                             report.rpc_millis.end());
     total.cache_hits += report.cache_hits;
-    total.cache_partial_hits += report.cache_partial_hits;
     total.cache_misses += report.cache_misses;
     total.cache_bypass += report.cache_bypass;
     total.cache_tasks_saved += report.cache_tasks_saved;
@@ -842,22 +837,19 @@ int main(int argc, char** argv) {
                 Percentile(total.rpc_millis, 0.99),
                 total.rpc_millis.empty() ? 0.0 : total.rpc_millis.back());
   json += line;
-  const uint64_t classified =
-      total.cache_hits + total.cache_partial_hits + total.cache_misses;
+  const uint64_t classified = total.cache_hits + total.cache_misses;
   const double hit_rate =
-      classified > 0
-          ? static_cast<double>(total.cache_hits + total.cache_partial_hits) /
-                static_cast<double>(classified)
-          : 0.0;
+      classified > 0 ? static_cast<double>(total.cache_hits) /
+                           static_cast<double>(classified)
+                     : 0.0;
   std::snprintf(line, sizeof(line),
                 "  \"zipf\": %s,\n  \"profiles\": %d,\n",
                 zipf ? "true" : "false", zipf ? profiles : 0);
   json += line;
   std::snprintf(line, sizeof(line),
-                "  \"cache\": {\"hits\": %llu, \"partial_hits\": %llu, "
+                "  \"cache\": {\"hits\": %llu, "
                 "\"misses\": %llu, \"bypass\": %llu,\n",
                 static_cast<unsigned long long>(total.cache_hits),
-                static_cast<unsigned long long>(total.cache_partial_hits),
                 static_cast<unsigned long long>(total.cache_misses),
                 static_cast<unsigned long long>(total.cache_bypass));
   json += line;

@@ -84,11 +84,9 @@ std::string SchedulerStats::DebugString() const {
       << " split_verts=" << TotalSplitVerticesClassified()
       << " geom_allocs=" << TotalGeomArenaAllocations() << " wall="
       << wall_seconds << "s";
-  if (cache_hits + cache_partial_hits + cache_misses > 0) {
-    const char* kind = cache_hits > 0
-                           ? "hit"
-                           : (cache_partial_hits > 0 ? "partial" : "miss");
-    out << " cache=" << kind << " cache_deferred=" << cache_deferred
+  if (cache_hits + cache_misses > 0) {
+    out << " cache=" << (cache_hits > 0 ? "hit" : "miss")
+        << " cache_deferred=" << cache_deferred
         << " cache_tasks_saved=" << cache_tasks_saved
         << " cache_evicted_bytes=" << cache_evicted_bytes;
   }

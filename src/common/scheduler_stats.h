@@ -50,7 +50,9 @@ struct SchedulerStats {
   // cells were reused, and the bytes the accompanying insert evicted.
   // All zero when the cache is disabled or bypassed.
   uint64_t cache_hits = 0;          // solved by clipping a cached superset
-  uint64_t cache_partial_hits = 0;  // always 0; kept for the wire class
+  // Always 0: no solve is a partial hit. Kept because the serving
+  // benchmark's driver reads it.
+  uint64_t cache_partial_hits = 0;
   uint64_t cache_misses = 0;        // no containing entry: solved cold
   uint64_t cache_deferred = 0;      // of misses: a first sighting, solved
                                     // on the exact box and not inserted

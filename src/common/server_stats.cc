@@ -14,10 +14,8 @@ std::string ServerStatsSnapshot::DebugString() const {
       << " cancelled=" << queries_cancelled
       << " protocol_errors=" << protocol_errors << " rx=" << bytes_received
       << "B tx=" << bytes_sent << "B";
-  if (cache_hits + cache_partial_hits + cache_misses > 0) {
-    out << " cache_hits=" << cache_hits
-        << " cache_partial=" << cache_partial_hits
-        << " cache_misses=" << cache_misses
+  if (cache_hits + cache_misses > 0) {
+    out << " cache_hits=" << cache_hits << " cache_misses=" << cache_misses
         << " cache_deferred=" << cache_deferred
         << " cache_tasks_saved=" << cache_tasks_saved;
   }
@@ -69,8 +67,6 @@ ServerStatsSnapshot ServerStats::Snapshot() const {
   snap.bytes_received = bytes_received_.load(std::memory_order_relaxed);
   snap.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   snap.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  snap.cache_partial_hits =
-      cache_partial_hits_.load(std::memory_order_relaxed);
   snap.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   snap.cache_deferred = cache_deferred_.load(std::memory_order_relaxed);
   snap.cache_tasks_saved = cache_tasks_saved_.load(std::memory_order_relaxed);

@@ -33,7 +33,6 @@ struct ServerStatsSnapshot {
   // Cross-query region cache outcomes (zero unless the server enabled
   // the cache; bypassed queries bump none of them).
   uint64_t cache_hits = 0;
-  uint64_t cache_partial_hits = 0;
   uint64_t cache_misses = 0;
   // Of the misses: first sightings solved on the exact box and not
   // inserted (cache admission). All misses deferred means all-distinct
@@ -101,7 +100,6 @@ class ServerStats {
     bytes_sent_.fetch_add(bytes, std::memory_order_relaxed);
   }
   void OnCacheHit() { Bump(cache_hits_); }
-  void OnCachePartialHit() { Bump(cache_partial_hits_); }
   void OnCacheMiss() { Bump(cache_misses_); }
   void OnCacheDeferred() { Bump(cache_deferred_); }
   void OnCacheTasksSaved(uint64_t count) {
@@ -170,7 +168,6 @@ class ServerStats {
   std::atomic<uint64_t> bytes_received_{0};
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> cache_hits_{0};
-  std::atomic<uint64_t> cache_partial_hits_{0};
   std::atomic<uint64_t> cache_misses_{0};
   std::atomic<uint64_t> cache_deferred_{0};
   std::atomic<uint64_t> cache_tasks_saved_{0};

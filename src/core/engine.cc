@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
@@ -233,10 +234,26 @@ void StampDeferred(ToprrResult* result) {
   result->stats.scheduler.cache_deferred = 1;
 }
 
+// The answer to a solve whose cancel flag or deadline fired before it
+// started, so that queued work unwinds without filtering; nullopt when
+// the solve should run.
+std::optional<ToprrResult> StoppedAtEntry(const ToprrOptions& options) {
+  const bool cancelled = options.cancel != nullptr &&
+                         options.cancel->load(std::memory_order_relaxed);
+  if (!cancelled && std::chrono::steady_clock::now() < options.deadline) {
+    return std::nullopt;
+  }
+  ToprrResult result;
+  result.timed_out = true;
+  result.cancelled = cancelled;
+  return result;
+}
+
 }  // namespace
 
 ToprrResult ToprrEngine::Solve(int k, const PrefBox& region,
                                const ToprrOptions& options) {
+  if (auto stopped = StoppedAtEntry(options)) return std::move(*stopped);
   const SnapshotPtr snap = PinSnapshot();
   ToprrResult result = SolveBox(snap, k, region, options);
   result.snapshot_id = snap->id();
@@ -246,6 +263,7 @@ ToprrResult ToprrEngine::Solve(int k, const PrefBox& region,
 
 ToprrResult ToprrEngine::Solve(int k, const PrefRegion& region,
                                const ToprrOptions& options) {
+  if (auto stopped = StoppedAtEntry(options)) return std::move(*stopped);
   const SnapshotPtr snap = PinSnapshot();
   ToprrResult result = SolveRegion(snap, k, region, options);
   result.snapshot_id = snap->id();
@@ -446,38 +464,15 @@ ToprrResult ToprrEngine::Solve(const ToprrQuery& query) {
   return Solve(query.k, query.region, query.options);
 }
 
-namespace {
-
-// One query of a batch under a batch-level cancel flag: unclaimed work
-// after cancellation resolves to an explicit cancelled result, claimed
-// work inherits the flag so the scheduler aborts it at the next poll.
-ToprrResult SolveOrCancel(ToprrEngine& engine, const ToprrQuery& query,
-                          const std::atomic<bool>* cancel) {
-  if (cancel == nullptr) return engine.Solve(query);
-  if (cancel->load(std::memory_order_relaxed)) {
-    ToprrResult result;
-    result.timed_out = true;
-    result.cancelled = true;
-    return result;
-  }
-  if (query.options.cancel != nullptr) return engine.Solve(query);
-  ToprrQuery cancellable = query;
-  cancellable.options.cancel = cancel;
-  return engine.Solve(cancellable);
-}
-
-}  // namespace
-
 std::vector<ToprrResult> ToprrEngine::SolveBatch(
-    const std::vector<ToprrQuery>& queries, int num_threads,
-    const std::atomic<bool>* cancel) {
+    const std::vector<ToprrQuery>& queries, int num_threads) {
   std::vector<ToprrResult> results(queries.size());
   if (queries.empty()) return results;
   const size_t workers =
       std::min(ResolveThreadCount(num_threads), queries.size());
   if (workers <= 1) {
     for (size_t i = 0; i < queries.size(); ++i) {
-      results[i] = SolveOrCancel(*this, queries[i], cancel);
+      results[i] = Solve(queries[i]);
     }
     return results;
   }
@@ -504,12 +499,12 @@ std::vector<ToprrResult> ToprrEngine::SolveBatch(
   const size_t count = queries.size();
   const ToprrQuery* query_ptr = queries.data();
   ToprrResult* result_ptr = results.data();
-  auto drain = [this, state, query_ptr, result_ptr, count, cancel] {
+  auto drain = [this, state, query_ptr, result_ptr, count] {
     for (;;) {
       const size_t index =
           state->next.fetch_add(1, std::memory_order_relaxed);
       if (index >= count) return;
-      result_ptr[index] = SolveOrCancel(*this, query_ptr[index], cancel);
+      result_ptr[index] = Solve(query_ptr[index]);
       // acq_rel + the waiter's acquire read makes every result write
       // visible to the caller; locking mu around the notify pairs with
       // the waiter's predicate check so the last wakeup cannot be lost.

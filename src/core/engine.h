@@ -107,7 +107,9 @@ class ToprrEngine {
 
   /// Solves TopRR(D, k, wR) reusing the cached k-skyband: the per-query
   /// r-skyband is computed within it instead of over the whole dataset.
-  /// Pins the current snapshot for the solve's duration.
+  /// Pins the current snapshot for the solve's duration. Returns at once,
+  /// with timed_out set, when options.cancel is already set (cancelled
+  /// too) or options.deadline has passed.
   ToprrResult Solve(int k, const PrefBox& region,
                     const ToprrOptions& options = {});
 
@@ -128,16 +130,13 @@ class ToprrEngine {
   /// so a concurrent SetSnapshot splits the batch at a clean version
   /// boundary (check ToprrResult::snapshot_id).
   ///
-  /// `cancel`, when non-null, aborts the whole batch cooperatively: it
-  /// is injected as ToprrOptions::cancel into every query that does not
-  /// carry its own flag (so in-flight solves stop at their next
-  /// per-region poll), and queries not yet claimed when it flips return
-  /// immediately with timed_out and cancelled set. The pointee must
-  /// outlive the call. The serving front-end passes its shutdown flag
-  /// here so Stop() never waits for a long solve.
-  std::vector<ToprrResult> SolveBatch(
-      const std::vector<ToprrQuery>& queries, int num_threads = 0,
-      const std::atomic<bool>* cancel = nullptr);
+  /// Each query stops by its own options: a query whose cancel flag or
+  /// deadline fired before it is claimed returns at once (timed_out, plus
+  /// cancelled for the flag), and a running one stops at the scheduler's
+  /// next per-region poll. Pointing every query at one flag cancels the
+  /// whole batch.
+  std::vector<ToprrResult> SolveBatch(const std::vector<ToprrQuery>& queries,
+                                      int num_threads = 0);
 
   /// Moves the engine to a newer snapshot (typically
   /// MutableCatalog::Publish output). Safe with queries in flight: they

@@ -22,7 +22,7 @@ ImpactRegionsResult ComputeImpactRegions(const Dataset& data, int option_id,
   config.use_lemma7 = false;  // need true kIPRs: membership must be exact
   config.use_kswitch = true;
   config.collect_flat_cells = true;
-  config.time_budget_seconds = time_budget_seconds;
+  config.deadline = DeadlineAfter(time_budget_seconds);
 
   const PartitionOutput out = PartitionPreferenceRegion(
       data, candidates, k, FlatRegion::FromBox(region), config);

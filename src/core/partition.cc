@@ -1,6 +1,7 @@
 #include "core/partition.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <optional>
 #include <utility>
@@ -426,6 +427,17 @@ RegionOutcome TestAndSplitRegion(const DatasetView& data,
              << "region; accepting within tolerance";
   FillAcceptPayload(config, work, profiles, out);
   return out;
+}
+
+std::chrono::steady_clock::time_point DeadlineAfter(double seconds) {
+  // Budgets of 30 years or more count as none: adding them to now could
+  // overflow steady_clock's 64-bit nanosecond count.
+  if (!(seconds > 0.0) || seconds >= 1e9) {
+    return std::chrono::steady_clock::time_point::max();
+  }
+  return std::chrono::steady_clock::now() +
+         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+             std::chrono::duration<double>(seconds));
 }
 
 PartitionOutput PartitionPreferenceRegion(const DatasetView& data,

@@ -15,6 +15,7 @@
 #define TOPRR_CORE_PARTITION_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
@@ -35,10 +36,13 @@ struct PartitionConfig {
   bool use_lemma7 = false;
   bool use_kswitch = false;
   double eps = 1e-10;
-  double time_budget_seconds = 0.0;  // <= 0: unlimited
-  size_t max_regions = 0;            // 0: default (16M)
+  /// Absolute stop time, polled per claimed region by both executors;
+  /// time_point::max() = none. Expiry sets PartitionOutput::timed_out.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
+  size_t max_regions = 0;  // 0: default (16M)
   /// Cooperative cancellation flag, polled per claimed region by both
-  /// executors (same cadence as the time budget). Null = never cancel.
+  /// executors (same cadence as the deadline). Null = never cancel.
   const std::atomic<bool>* cancel = nullptr;
   /// Worker threads for the partition scheduler: 1 = sequential executor,
   /// 0 = one worker per hardware thread, n > 1 = n workers. Both
@@ -103,11 +107,17 @@ PartitionOutput PartitionPreferenceRegion(const DatasetView& data,
                                           int k, const PrefRegion& root,
                                           const PartitionConfig& config);
 
+/// The absolute time `seconds` from now: the deadline of a relative
+/// budget. time_point::max() (none) when `seconds` is not positive (NaN
+/// included) or is 1e9 (about 30 years) or more.
+std::chrono::steady_clock::time_point DeadlineAfter(double seconds);
+
 /// The PartitionConfig implied by a ToprrOptions (method -> acceptance
-/// test and lemma toggles, plus the shared knobs). Single source of truth
-/// for both SolveToprr and the region cache, whose signature must agree
-/// with the partition semantics. Implemented in toprr.cc where both
-/// definitions are visible.
+/// test and lemma toggles, plus the shared knobs; the deadline is the
+/// earlier of options.deadline and the time budget counted from now).
+/// Single source of truth for both SolveToprr and the region cache,
+/// whose signature must agree with the partition semantics. Implemented
+/// in toprr.cc where both definitions are visible.
 PartitionConfig PartitionConfigFromOptions(const ToprrOptions& options);
 
 }  // namespace toprr

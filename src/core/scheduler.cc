@@ -22,6 +22,29 @@ namespace {
 
 constexpr size_t kDefaultMaxRegions = size_t{16} << 20;
 
+size_t MaxRegions(const PartitionConfig& config) {
+  return config.max_regions > 0 ? config.max_regions : kDefaultMaxRegions;
+}
+
+// Why a run stopped before its tree was done (kNone: it was not).
+enum class StopReason : uint8_t { kNone, kCancelled, kDeadline, kRegionCap };
+
+// The stop rule, applied by both executors once per claimed region before
+// testing it. `claimed` counts the regions claimed before this one. At
+// most one clock read: none when the config carries no deadline.
+StopReason CheckStop(const PartitionConfig& config, size_t claimed) {
+  if (config.cancel != nullptr &&
+      config.cancel->load(std::memory_order_relaxed)) {
+    return StopReason::kCancelled;
+  }
+  if (config.deadline != std::chrono::steady_clock::time_point::max() &&
+      std::chrono::steady_clock::now() > config.deadline) {
+    return StopReason::kDeadline;
+  }
+  if (claimed >= MaxRegions(config)) return StopReason::kRegionCap;
+  return StopReason::kNone;
+}
+
 // An accepted node awaiting the deterministic id-ordered merge.
 struct AcceptedNode {
   uint64_t id = 0;
@@ -37,8 +60,7 @@ struct Tally {
   size_t kipr_accepts = 0;
   size_t lemma7_accepts = 0;
   size_t lemma5_prunes = 0;
-  bool timed_out = false;
-  bool cancelled = false;
+  StopReason stop = StopReason::kNone;
 };
 
 void TallyOutcome(const RegionOutcome& outcome, Tally& tally) {
@@ -69,8 +91,12 @@ PartitionOutput AssembleOutput(const PartitionConfig& config, Tally tally,
   out.kipr_accepts = tally.kipr_accepts;
   out.lemma7_accepts = tally.lemma7_accepts;
   out.lemma5_prunes = tally.lemma5_prunes;
-  out.timed_out = tally.timed_out;
-  out.cancelled = tally.cancelled;
+  out.timed_out = tally.stop != StopReason::kNone;
+  out.cancelled = tally.stop == StopReason::kCancelled;
+  if (tally.stop == StopReason::kRegionCap) {
+    LOG(WARNING) << "partitioning hit the region cap (" << MaxRegions(config)
+                 << "); aborting";
+  }
   std::set<int> topk_union;
   for (AcceptedNode& node : accepted) {
     for (Vec& v : node.outcome.vall) out.vall.push_back(std::move(v));
@@ -133,11 +159,7 @@ void FoldArenaCounters(const ScoreArena& arena, const GeomArena& geom_arena,
 // lock, observe the done flag, and return without touching the deques
 // or the dataset.
 struct StealState {
-  StealState(const PartitionConfig& config, size_t num_workers)
-      : max_regions(config.max_regions > 0 ? config.max_regions
-                                           : kDefaultMaxRegions),
-        time_budget_seconds(config.time_budget_seconds),
-        cancel(config.cancel) {
+  explicit StealState(size_t num_workers) {
     slots.reserve(num_workers);
     for (size_t w = 0; w < num_workers; ++w) {
       slots.push_back(std::make_unique<WorkerSlot>());
@@ -158,11 +180,9 @@ struct StealState {
 
   // Lock-free hot-path state.
   std::atomic<int64_t> in_flight{0};  // tasks created but not yet retired
-  std::atomic<bool> stop{false};      // budget exhausted; drop the rest
-  std::atomic<bool> timed_out{false};
-  std::atomic<bool> cancelled{false};
-  std::atomic<bool> cap_warned{false};
-  std::atomic<size_t> popped{0};  // budget tickets (mirrors the region cap)
+  // The first stop a worker saw; once set, every worker drops the rest.
+  std::atomic<StopReason> stop{StopReason::kNone};
+  std::atomic<size_t> popped{0};  // region-cap tickets, one per claim
 
   // Cold-path handshake: slot claiming on entry, completion on exit.
   std::mutex mu;
@@ -171,22 +191,21 @@ struct StealState {
   size_t active = 0;     // workers currently inside DrainStealing
   bool done = false;     // merge finished; late helpers must not touch deques
 
-  const size_t max_regions;
-  const double time_budget_seconds;
-  const std::atomic<bool>* cancel;
   Timer timer;
 };
 
 // The per-worker drain loop: pop own deque LIFO; when empty, steal FIFO
 // from the victims in this slot's seeded order; when the whole tree is
-// in nobody's deque (in_flight == 0) or the budget stopped the run,
+// in nobody's deque (in_flight == 0) or CheckStop stopped the run,
 // return. Tallies, accepted nodes, and telemetry all stay in the slot.
 void DrainStealing(const DatasetView& data, const PartitionConfig& config,
                    StealState& state, size_t slot_index) {
   WorkerSlot& self = *state.slots[slot_index];
   int idle_rounds = 0;
   for (;;) {
-    if (state.stop.load(std::memory_order_relaxed)) return;
+    if (state.stop.load(std::memory_order_relaxed) != StopReason::kNone) {
+      return;
+    }
 
     RegionTask* task = self.deque.Pop();
     if (task == nullptr) {
@@ -214,34 +233,15 @@ void DrainStealing(const DatasetView& data, const PartitionConfig& config,
     }
     idle_rounds = 0;
 
-    // Budget and cancellation checks, charged per claimed region exactly
-    // like the sequential executor. The popped ticket makes the region
-    // cap a hard bound even though no lock is held.
-    if (state.cancel != nullptr &&
-        state.cancel->load(std::memory_order_relaxed)) {
-      state.cancelled.store(true, std::memory_order_relaxed);
-      state.timed_out.store(true, std::memory_order_relaxed);
-      state.stop.store(true, std::memory_order_relaxed);
-      delete task;
-      state.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-      return;
-    }
-    if (state.time_budget_seconds > 0.0 &&
-        state.timer.Seconds() > state.time_budget_seconds) {
-      state.timed_out.store(true, std::memory_order_relaxed);
-      state.stop.store(true, std::memory_order_relaxed);
-      delete task;
-      state.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-      return;
-    }
-    if (state.popped.fetch_add(1, std::memory_order_relaxed) >=
-        state.max_regions) {
-      if (!state.cap_warned.exchange(true, std::memory_order_relaxed)) {
-        LOG(WARNING) << "partitioning hit the region cap ("
-                     << state.max_regions << "); aborting";
-      }
-      state.timed_out.store(true, std::memory_order_relaxed);
-      state.stop.store(true, std::memory_order_relaxed);
+    // The stop rule, charged per claimed region like the sequential
+    // executor. The popped ticket makes the region cap a hard bound even
+    // though no lock is held.
+    const StopReason stop = CheckStop(
+        config, state.popped.fetch_add(1, std::memory_order_relaxed));
+    if (stop != StopReason::kNone) {
+      StopReason none = StopReason::kNone;
+      state.stop.compare_exchange_strong(none, stop,
+                                         std::memory_order_relaxed);
       delete task;
       state.in_flight.fetch_sub(1, std::memory_order_acq_rel);
       return;
@@ -301,8 +301,6 @@ PartitionOutput PartitionScheduler::Run(RegionTask root) const {
 }
 
 PartitionOutput PartitionScheduler::RunSequential(RegionTask root) const {
-  const size_t max_regions = config_.max_regions > 0 ? config_.max_regions
-                                                     : kDefaultMaxRegions;
   Timer timer;
   Tally tally;
   SchedulerWorkerStats worker_stats;
@@ -314,23 +312,8 @@ PartitionOutput PartitionScheduler::RunSequential(RegionTask root) const {
   worker_stats.deque_high_water = queue.size();
 
   while (!queue.empty()) {
-    if (config_.cancel != nullptr &&
-        config_.cancel->load(std::memory_order_relaxed)) {
-      tally.timed_out = true;
-      tally.cancelled = true;
-      break;
-    }
-    if (config_.time_budget_seconds > 0.0 &&
-        timer.Seconds() > config_.time_budget_seconds) {
-      tally.timed_out = true;
-      break;
-    }
-    if (tally.regions_tested >= max_regions) {
-      LOG(WARNING) << "partitioning hit the region cap (" << max_regions
-                   << "); aborting";
-      tally.timed_out = true;
-      break;
-    }
+    tally.stop = CheckStop(config_, tally.regions_tested);
+    if (tally.stop != StopReason::kNone) break;
     // LIFO (depth-first), matching the stealing executor's own-deque
     // order: the pending frontier stays O(tree depth), which bounds how
     // many parent_scores caches are alive at once -- BFS would keep a
@@ -368,7 +351,7 @@ PartitionOutput PartitionScheduler::RunSequential(RegionTask root) const {
 
 PartitionOutput PartitionScheduler::RunParallel(RegionTask root,
                                                 size_t num_workers) const {
-  auto state = std::make_shared<StealState>(config_, num_workers);
+  auto state = std::make_shared<StealState>(num_workers);
   state->in_flight.store(1, std::memory_order_relaxed);
   // The root starts in slot 0, the calling thread's; thieves take its
   // split children from there.
@@ -401,7 +384,7 @@ PartitionOutput PartitionScheduler::RunParallel(RegionTask root,
 
   // Fold the worker-local tallies and accepted buffers (batched counter
   // deltas: the only per-task shared-state traffic the executor has is
-  // the in-flight counter and the budget ticket).
+  // the in-flight counter and the region-cap ticket).
   Tally tally;
   std::vector<AcceptedNode> accepted;
   SchedulerStats scheduler;
@@ -420,8 +403,7 @@ PartitionOutput PartitionScheduler::RunParallel(RegionTask root,
       scheduler.workers.push_back(slot->stats);
     }
   }
-  tally.timed_out = state->timed_out.load(std::memory_order_relaxed);
-  tally.cancelled = state->cancelled.load(std::memory_order_relaxed);
+  tally.stop = state->stop.load(std::memory_order_relaxed);
   PartitionOutput out =
       AssembleOutput(config_, std::move(tally), std::move(accepted));
   out.scheduler = std::move(scheduler);

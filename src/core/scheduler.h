@@ -21,12 +21,13 @@
 //    owns a Chase-Lev-style deque (common/thread_pool.h), pushes split
 //    children bottom/LIFO for cache locality, and steals top/FIFO from
 //    peers in a seeded pseudo-random victim order when its own deque is
-//    empty. Termination is a shared in-flight task counter; the time /
-//    region budget is charged per claimed task through an atomic ticket,
-//    mirroring the sequential executor's per-pop charge. Tallies,
-//    accepted buffers, and the SchedulerStats telemetry stay worker-local
-//    and fold into the output at merge time, so the hot path shares only
-//    the deques and two counters.
+//    empty. Termination is a shared in-flight task counter; the stop
+//    rule (cancel flag, deadline, region cap) is checked per claimed
+//    task, the cap through an atomic ticket, mirroring the sequential
+//    executor's per-pop check. Tallies, accepted buffers, and the
+//    SchedulerStats telemetry stay worker-local and fold into the output
+//    at merge time, so the hot path shares only the deques and two
+//    counters.
 //
 // Consequently the sequential executor and the multi-threaded executor
 // produce bit-identical PartitionOutputs (and hence ToprrResults) on every

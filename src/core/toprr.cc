@@ -60,7 +60,8 @@ std::vector<Halfspace> ToprrResult::AllHalfspaces() const {
 PartitionConfig PartitionConfigFromOptions(const ToprrOptions& options) {
   PartitionConfig config;
   config.eps = options.eps;
-  config.time_budget_seconds = options.time_budget_seconds;
+  config.deadline =
+      std::min(options.deadline, DeadlineAfter(options.time_budget_seconds));
   config.cancel = options.cancel;
   config.max_regions = options.max_regions;
   config.num_threads = options.num_threads;

@@ -17,6 +17,7 @@
 #define TOPRR_CORE_TOPRR_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -69,15 +70,23 @@ struct ToprrOptions {
   size_t geometry_dim_limit = 6;
   size_t geometry_halfspace_limit = 1024;
 
-  /// Wall-clock budget; the solver aborts (result.timed_out = true) when
-  /// exceeded. <= 0 means unlimited.
+  /// Wall-clock budget, counted from the start of partitioning; the
+  /// solver aborts (result.timed_out = true) when exceeded. <= 0 means
+  /// unlimited.
   double time_budget_seconds = 0.0;
 
-  /// Cooperative cancellation: when non-null, the scheduler polls this
-  /// flag at the same per-region cadence as the time budget and aborts
-  /// the solve (result.timed_out and result.cancelled both set) once it
-  /// reads true. The pointee must outlive the solve; the serving
-  /// front-end uses it to cut in-flight queries loose on shutdown.
+  /// Absolute wall-clock stop time (time_point::max() = none). A solve
+  /// that starts at or after it returns at once, and a running one stops
+  /// at the scheduler's next per-region poll; either way result.timed_out
+  /// is set. The serving front-end sets it from a batch's wire deadline.
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
+
+  /// Cooperative cancellation: when non-null, the engine checks this flag
+  /// before a solve starts and the scheduler polls it once per region;
+  /// once it reads true the solve stops with result.timed_out and
+  /// result.cancelled both set. The pointee must outlive the solve; the
+  /// serving front-end points every query at its shutdown flag.
   const std::atomic<bool>* cancel = nullptr;
 
   /// Safety bound on the number of processed regions (0 = default bound).

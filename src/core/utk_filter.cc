@@ -14,7 +14,7 @@ std::vector<int> ExactTopkUnion(const Dataset& data, const PrefBox& region,
   config.use_lemma7 = false;   // must reach true kIPRs for exactness
   config.use_kswitch = true;   // fewer splits, still exact
   config.collect_topk_union = true;
-  config.time_budget_seconds = time_budget_seconds;
+  config.deadline = DeadlineAfter(time_budget_seconds);
   const PartitionOutput out = PartitionPreferenceRegion(
       data, candidates, k, FlatRegion::FromBox(region), config);
   return out.topk_union;

@@ -61,12 +61,28 @@ Vec GeneralizedCross(const std::vector<Vec>& points,
 }
 
 // Builds a facet plane from vertex ids, oriented away from `interior`.
-// Returns false when the vertices are affinely degenerate.
+// Returns false when the vertices are affinely degenerate: the cross
+// product's norm, (d-1)! times the facet's (d-1)-volume, is at most eps
+// times the product of the edge lengths from vertex 0 (its Hadamard
+// bound). The ratio is scale-free; the norm alone scales with the edge
+// lengths to the power d-1, and bounding it by eps took small healthy
+// facets for degenerate ones, whose fallback orientation made volumes
+// depend on the input order.
 bool MakePlane(const std::vector<Vec>& points, const std::vector<int>& ids,
                const Vec& interior, double eps, Facet* facet) {
   Vec normal = GeneralizedCross(points, ids);
   const double norm = normal.Norm();
-  if (norm <= eps) return false;
+  const Vec& base = points[ids[0]];
+  double edge_product = 1.0;
+  for (size_t i = 1; i < ids.size(); ++i) {
+    double squared = 0.0;
+    for (size_t c = 0; c < base.dim(); ++c) {
+      const double e = points[ids[i]][c] - base[c];
+      squared += e * e;
+    }
+    edge_product *= std::sqrt(squared);
+  }
+  if (norm <= eps * edge_product) return false;
   normal /= norm;
   double offset = Dot(normal, points[ids[0]]);
   if (Dot(normal, interior) - offset > 0.0) {

@@ -1,8 +1,25 @@
 #include "pref/region.h"
 
+#include <cmath>
+
 #include "common/check.h"
 
 namespace toprr {
+namespace {
+
+// WellFormed's geometric slack: how far (for a unit normal) a vertex may
+// lie outside the simplex or a facet, and an incident vertex off its
+// facet's plane.
+constexpr double kWellFormedTolerance = 1e-9;
+
+bool AllFinite(const Vec& v) {
+  for (size_t j = 0; j < v.dim(); ++j) {
+    if (!std::isfinite(v[j])) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 PrefRegion PrefRegion::FromBox(const PrefBox& box) {
   const size_t m = box.dim();
@@ -44,12 +61,27 @@ PrefRegion PrefRegion::FromVerticesAndFacets(std::vector<Vec> vertices,
 
 bool PrefRegion::WellFormed(size_t m) const {
   for (const Vec& v : vertices_) {
-    if (v.dim() != m) return false;
+    if (v.dim() != m || !AllFinite(v)) return false;
+    for (size_t j = 0; j < m; ++j) {
+      if (v[j] < -kWellFormedTolerance) return false;
+    }
+    if (v.Sum() > 1.0 + kWellFormedTolerance) return false;
   }
   for (const RegionFacet& f : facets_) {
-    if (f.halfspace.normal.dim() != m) return false;
+    const Halfspace& h = f.halfspace;
+    if (h.normal.dim() != m || !AllFinite(h.normal) ||
+        !std::isfinite(h.offset)) {
+      return false;
+    }
+    const double norm = h.normal.Norm();
+    if (!(norm > 0.0) || !std::isfinite(norm)) return false;
+    const double slack = kWellFormedTolerance * norm;
+    for (const Vec& v : vertices_) {
+      if (h.Violation(v) > slack) return false;
+    }
     for (int vid : f.vertex_ids) {
-      if (vid < 0 || static_cast<size_t>(vid) >= vertices_.size()) {
+      if (vid < 0 || static_cast<size_t>(vid) >= vertices_.size() ||
+          h.Violation(vertices_[vid]) < -slack) {
         return false;
       }
     }

@@ -46,10 +46,15 @@ class PrefRegion {
   const std::vector<RegionFacet>& facets() const { return facets_; }
   bool empty() const { return vertices_.empty(); }
 
-  /// True if every vertex and every facet normal has dimension m and
-  /// every facet vertex id indexes a vertex -- what the split reads
-  /// without checking. Regions from FromBox always pass; regions built
-  /// from untrusted input must be checked before they are solved.
+  /// True if every vertex and every facet normal has dimension m, every
+  /// facet vertex id indexes a vertex -- what the split reads without
+  /// checking -- and the numbers describe a polytope in the simplex:
+  /// every value is finite and every normal non-zero, every vertex lies
+  /// in {x >= 0, sum(x) <= 1} and on the inner side of every facet, and
+  /// every incident vertex on its facet's plane, each within 1e-9 (a
+  /// distance, for facets). Regions from FromBox of a box inside the
+  /// simplex pass; regions built from untrusted input must be checked
+  /// before they are solved.
   bool WellFormed(size_t m) const;
 
  private:

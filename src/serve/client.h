@@ -26,8 +26,8 @@
 // token on Publish: a retried Publish whose ack was lost is recognized
 // by the server as already applied instead of being applied twice.
 //
-// Deadlines: QueryOptions::deadline_seconds rides the wire (the server
-// arms its cooperative-cancel timer and answers kDeadlineExceeded) AND
+// Deadlines: QueryOptions::deadline_seconds rides the wire (the server's
+// scheduler stops the solve there and answers kDeadlineExceeded) AND
 // arms SO_RCVTIMEO/SO_SNDTIMEO on the socket with a little slack -- so
 // even a dead or wedged server cannot hang the caller past the deadline;
 // the local expiry surfaces as ClientError::kTimeout.

@@ -317,8 +317,6 @@ ServeResponse ResponseFromResult(const ToprrResult& result) {
   CacheLookup lookup = CacheLookup::kBypass;
   if (sched.cache_hits > 0) {
     lookup = CacheLookup::kHit;
-  } else if (sched.cache_partial_hits > 0) {
-    lookup = CacheLookup::kPartial;
   } else if (sched.cache_misses > 0) {
     lookup = CacheLookup::kMiss;
   }

@@ -87,15 +87,18 @@ enum class ServeStatus : uint8_t {
   /// The per-query time budget (client-requested, server-clamped)
   /// expired before the solve finished.
   kBudgetExceeded = 2,
-  /// The request failed to decode.
+  /// The request failed to decode, or its k, dimensions or region are
+  /// unsolvable (PrefRegion::WellFormed: finite values, a polytope in
+  /// the preference simplex, facets consistent with their vertices).
   kMalformed = 3,
   /// The server is shutting down; in-flight work was cancelled.
   kShutdown = 4,
   kInternalError = 5,
   /// The batch's deadline (client-requested, server-clamped by
   /// ServerConfig::max_deadline_ms) expired before the solve finished.
-  /// Unlike kBudgetExceeded this is an end-to-end wall-clock promise:
-  /// the server armed the cooperative-cancel flag from a deadline timer.
+  /// Unlike kBudgetExceeded this is an end-to-end wall-clock promise,
+  /// counted from frame arrival: the scheduler polls the absolute
+  /// deadline once per region and the solve stopped at or after it.
   kDeadlineExceeded = 6,
   /// The server is draining (Drain() was called): it finishes in-flight
   /// work but answers new queries with this status. Retryable against

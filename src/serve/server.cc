@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstring>
 #include <optional>
 #include <thread>
@@ -126,17 +125,9 @@ bool ToprrServer::Start(std::string* error) {
 
 void ToprrServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  // Every admitted solve polls stopping_ as its cancel flag, so this one
+  // store unwinds all in-flight work before the sockets go down.
   stopping_.store(true, std::memory_order_release);
-
-  // Every batch inside SolveAdmitted polls its own cancel flag (the
-  // deadline timer shares it); flip them all so in-flight solves unwind
-  // promptly even though they no longer watch stopping_ directly.
-  {
-    std::lock_guard<std::mutex> lock(cancels_mu_);
-    for (std::atomic<bool>* cancel : active_cancels_) {
-      cancel->store(true, std::memory_order_release);
-    }
-  }
 
   // Unblock accept(2), then the per-connection reads. shutdown() rather
   // than close() so each thread keeps a valid fd until it exits and
@@ -277,7 +268,7 @@ void ToprrServer::ReleaseQueries(size_t count) {
 
 std::vector<ServeResponse> ToprrServer::SolveAdmitted(
     std::vector<ToprrQuery> queries,
-    const std::chrono::steady_clock::time_point* deadline) {
+    std::chrono::steady_clock::time_point deadline) {
   const double budget_ceiling = config_.max_query_budget_seconds;
   for (ToprrQuery& query : queries) {
     // Clamp the budget: unlimited (<= 0), over-the-cap, and NaN requests
@@ -307,78 +298,36 @@ std::vector<ServeResponse> ToprrServer::SolveAdmitted(
     // Caching is server-side policy: the wire has no cache bit, the
     // server opts admitted queries in (or not) uniformly.
     query.options.use_region_cache = config_.use_region_cache;
-  }
-
-  // Per-batch cancel flag: armed by Stop() (via active_cancels_) and by
-  // the deadline watcher. Registered before the stopping_ re-check so a
-  // Stop() racing this batch cannot miss it.
-  std::atomic<bool> cancel{false};
-  std::atomic<bool> deadline_fired{false};
-  {
-    std::lock_guard<std::mutex> lock(cancels_mu_);
-    active_cancels_.push_back(&cancel);
-  }
-  if (stopping_.load(std::memory_order_acquire)) {
-    cancel.store(true, std::memory_order_release);
-  }
-
-  std::thread watcher;
-  std::mutex watch_mu;
-  std::condition_variable watch_cv;
-  bool solve_done = false;
-  if (deadline != nullptr) {
-    const auto when = *deadline;
-    watcher = std::thread([&, when] {
-      std::unique_lock<std::mutex> lk(watch_mu);
-      if (!watch_cv.wait_until(lk, when, [&] { return solve_done; })) {
-        deadline_fired.store(true, std::memory_order_release);
-        cancel.store(true, std::memory_order_release);
-      }
-    });
+    // The stop rule: Stop() and the batch deadline reach every solve
+    // through the options the scheduler polls.
+    query.options.cancel = &stopping_;
+    query.options.deadline = deadline;
   }
 
   const std::vector<ToprrResult> results =
-      engine_.SolveBatch(queries, config_.batch_threads, &cancel);
-
-  if (watcher.joinable()) {
-    {
-      std::lock_guard<std::mutex> lk(watch_mu);
-      solve_done = true;
-    }
-    watch_cv.notify_all();
-    watcher.join();
-  }
-  {
-    std::lock_guard<std::mutex> lock(cancels_mu_);
-    active_cancels_.erase(
-        std::remove(active_cancels_.begin(), active_cancels_.end(), &cancel),
-        active_cancels_.end());
-  }
-  // A cancel can have two causes; shutdown wins the tie because those
-  // queries genuinely were cut loose by Stop(), deadline or not.
-  const bool attribute_deadline =
-      deadline_fired.load(std::memory_order_acquire) &&
-      !stopping_.load(std::memory_order_acquire);
+      engine_.SolveBatch(queries, config_.batch_threads);
+  // ResponseFromResult answers a cancelled solve kShutdown (shutdown wins
+  // a tie) and any other stopped one kBudgetExceeded; a stop at or after
+  // the deadline is the deadline's.
+  const bool deadline_passed = std::chrono::steady_clock::now() >= deadline;
 
   std::vector<ServeResponse> responses;
   responses.reserve(results.size());
   for (const ToprrResult& result : results) {
     responses.push_back(ResponseFromResult(result));
     if (result.stats.scheduler.cache_deferred > 0) stats_.OnCacheDeferred();
-    if (attribute_deadline &&
-        responses.back().status == ServeStatus::kShutdown) {
+    if (deadline_passed &&
+        responses.back().status == ServeStatus::kBudgetExceeded) {
       responses.back().status = ServeStatus::kDeadlineExceeded;
     }
     switch (static_cast<CacheLookup>(responses.back().stats.cache_lookup)) {
       case CacheLookup::kHit:
         stats_.OnCacheHit();
         break;
-      case CacheLookup::kPartial:
-        stats_.OnCachePartialHit();
-        break;
       case CacheLookup::kMiss:
         stats_.OnCacheMiss();
         break;
+      case CacheLookup::kPartial:
       case CacheLookup::kBypass:
         break;
     }
@@ -419,16 +368,16 @@ std::string ToprrServer::HandleQueryBatch(const std::string& payload) {
 
   // The wire deadline is relative to frame arrival; clamp it to the
   // server's ceiling and convert to an absolute point so decode and
-  // admission time count against it.
+  // admission time count against it. Like a budget, 1e9 s or more is
+  // none, which also keeps the sum from overflowing.
   if (deadline_ms > 0 && config_.max_deadline_ms > 0 &&
       deadline_ms > config_.max_deadline_ms) {
     deadline_ms = config_.max_deadline_ms;
   }
-  std::chrono::steady_clock::time_point deadline_point;
-  const std::chrono::steady_clock::time_point* deadline = nullptr;
-  if (deadline_ms > 0) {
-    deadline_point = arrival + std::chrono::milliseconds(deadline_ms);
-    deadline = &deadline_point;
+  std::chrono::steady_clock::time_point deadline =
+      std::chrono::steady_clock::time_point::max();
+  if (deadline_ms > 0 && deadline_ms < uint64_t{1000000000000}) {
+    deadline = arrival + std::chrono::milliseconds(deadline_ms);
   }
 
   // Per-query validation, then all-or-nothing admission of the
@@ -461,8 +410,7 @@ std::string ToprrServer::HandleQueryBatch(const std::string& payload) {
         responses[i].status = ServeStatus::kRejectedDraining;
       }
       stats_.OnQueriesRejectedDraining(solvable.size());
-    } else if (deadline != nullptr &&
-               std::chrono::steady_clock::now() >= *deadline) {
+    } else if (std::chrono::steady_clock::now() >= deadline) {
       // Expired on arrival (or while decoding): answering without
       // solving IS the deadline contract.
       for (size_t i : solvable) {

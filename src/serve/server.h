@@ -35,12 +35,15 @@
 // are never parked in a hidden queue, so a saturated server stays
 // responsive and the client owns the retry policy (backpressure).
 //
-// Per-query budgets: each admitted query's time budget is clamped to
-// ServerConfig::max_query_budget_seconds and enforced by the scheduler's
-// existing budget hooks; expiry returns kBudgetExceeded for that query
-// only. Shutdown flips a cancel flag that SolveBatch plumbs into every
-// in-flight solve, so Stop() returns promptly even mid-solve (those
-// queries answer kShutdown when the connection is still writable).
+// Budgets, deadlines and shutdown: each admitted query's time budget is
+// clamped to ServerConfig::max_query_budget_seconds, and its options
+// carry the batch's absolute wire deadline (clamped by max_deadline_ms)
+// and the server's stopping flag as the cancel flag. The scheduler
+// polls all three once per region, so no serving thread watches a
+// solve. Stop() sets the flag and returns promptly even mid-solve; a
+// cancelled query answers kShutdown (when the connection is still
+// writable), a stop at or after the deadline kDeadlineExceeded, and any
+// other budget stop kBudgetExceeded, for that query only.
 #ifndef TOPRR_SERVE_SERVER_H_
 #define TOPRR_SERVE_SERVER_H_
 
@@ -93,9 +96,9 @@ struct ServerConfig {
 
   /// Ceiling on a batch's wire-requested deadline (milliseconds).
   /// Requests asking for longer are clamped down; 0 trusts the client.
-  /// The deadline arms the cooperative-cancel flag from a timer, so an
-  /// expired batch answers kDeadlineExceeded in bounded time instead of
-  /// running to budget expiry.
+  /// The scheduler polls the deadline once per region, so an expired
+  /// batch answers kDeadlineExceeded in bounded time instead of running
+  /// to budget expiry.
   uint64_t max_deadline_ms = 30000;
 
   /// Connection read timeouts (milliseconds, 0 = disabled). The idle
@@ -148,9 +151,9 @@ class ToprrServer {
   /// The bound TCP port (useful with config.port = 0).
   int port() const { return port_; }
 
-  /// Graceful-but-prompt shutdown: stops accepting, flips the cancel
-  /// flag through every in-flight SolveBatch, shuts client sockets down,
-  /// and joins all threads. Idempotent.
+  /// Graceful-but-prompt shutdown: sets the stopping flag that every
+  /// in-flight solve polls as its cancel flag, stops accepting, shuts
+  /// client sockets down, and joins all threads. Idempotent.
   void Stop();
 
   /// Draining shutdown: stops accepting new connections, answers new
@@ -210,14 +213,15 @@ class ToprrServer {
   bool TryAdmitQueries(size_t count);
   void ReleaseQueries(size_t count);
 
-  /// Solves one admitted batch with budgets and worker counts clamped
-  /// and a per-batch cancel flag plumbed through. The flag is
-  /// armed by Stop() (all registered batches) and, when `deadline` is
-  /// non-null, by a watcher timer at the batch's absolute deadline;
-  /// deadline-cancelled queries answer kDeadlineExceeded.
+  /// Solves one admitted batch with budgets and worker counts clamped.
+  /// Every query's options carry stopping_ as the cancel flag and the
+  /// batch's absolute `deadline` (time_point::max() = none), which the
+  /// scheduler polls per region. A cancelled query answers kShutdown, one
+  /// stopped at or after the deadline kDeadlineExceeded, and any other
+  /// stopped one kBudgetExceeded.
   std::vector<ServeResponse> SolveAdmitted(
       std::vector<ToprrQuery> queries,
-      const std::chrono::steady_clock::time_point* deadline);
+      std::chrono::steady_clock::time_point deadline);
 
   const ServerConfig config_;
   // Declared before engine_: the engine is seeded from the catalog's
@@ -234,14 +238,10 @@ class ToprrServer {
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> running_{false};
+  /// Set by Stop(); the cancel flag of every admitted solve.
   std::atomic<bool> stopping_{false};
   std::atomic<bool> draining_{false};
   std::atomic<size_t> inflight_queries_{0};
-
-  /// Cancel flags of batches currently inside SolveAdmitted; Stop()
-  /// flips them all so every in-flight solve unwinds promptly.
-  std::mutex cancels_mu_;
-  std::vector<std::atomic<bool>*> active_cancels_;
 
   std::thread accept_thread_;
   std::mutex connections_mu_;

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <random>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "pref/flat_region.h"
+#include "pref/pref_space.h"
 
 namespace toprr {
 namespace {
@@ -172,6 +177,60 @@ TEST(ConvexHullTest, VolumeOfRandomBoxMatches) {
   }
   const double expected = 0.6 * 0.8 * 0.4;
   EXPECT_NEAR(ConvexHullVolume(points), expected, 1e-6);
+}
+
+TEST(ConvexHullTest, CoplanarRichCellVolumeIgnoresInputOrder) {
+  // Cells of a 5-D split chain: many vertices per facet, and small
+  // simplicial facets whose unnormalized normals are far shorter than
+  // the default eps. Every vertex order must measure, at the default
+  // eps, the volume a tight eps gives.
+  for (int seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(static_cast<uint64_t>(seed) * 211);
+    const size_t m = 5;
+    FlatRegion cell = FlatRegion::FromBox(RandomPrefBox(m, 0.2, rng));
+    GeomArena arena;
+    for (int round = 0; round < 8; ++round) {
+      Vec normal(m);
+      for (size_t j = 0; j < m; ++j) normal[j] = rng.Uniform(-1.0, 1.0);
+      // Every other cut passes through a vertex, piling vertices onto
+      // shared facets.
+      const Vec anchor =
+          round % 2 == 0
+              ? cell.VertexVec(static_cast<size_t>(rng.UniformInt(
+                    0, static_cast<int64_t>(cell.num_vertices()) - 1)))
+              : cell.Centroid();
+      std::optional<FlatRegion> below;
+      std::optional<FlatRegion> above;
+      cell.Split(Hyperplane(normal, Dot(normal, anchor)), 1e-10, arena,
+                 &below, &above);
+      if (!below.has_value() || !above.has_value()) continue;
+      cell = below->num_vertices() >= above->num_vertices()
+                 ? std::move(*below)
+                 : std::move(*above);
+    }
+    std::vector<Vec> points;
+    for (size_t v = 0; v < cell.num_vertices(); ++v) {
+      points.push_back(cell.VertexVec(v));
+    }
+    ASSERT_GE(points.size(), 40u);
+    ConvexHullOptions tight;
+    tight.eps = 1e-12;
+    const double expected = ConvexHullVolume(points, tight);
+    ASSERT_GT(expected, 0.0);
+
+    std::vector<std::vector<Vec>> orders = {points};
+    orders.emplace_back(points.rbegin(), points.rend());
+    std::mt19937 shuffler(static_cast<uint32_t>(seed));
+    for (int i = 0; i < 4; ++i) {
+      orders.push_back(points);
+      std::shuffle(orders.back().begin(), orders.back().end(), shuffler);
+    }
+    for (size_t i = 0; i < orders.size(); ++i) {
+      EXPECT_NEAR(ConvexHullVolume(orders[i]), expected, 1e-9 * expected)
+          << "order " << i;
+    }
+  }
 }
 
 TEST(ConvexHullVerticesTest, DegenerateReturnsEmpty) {

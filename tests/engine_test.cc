@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <map>
 #include <thread>
 
@@ -255,7 +257,8 @@ TEST(EngineTest, SolveBatchMixedKBuildsSkybandsConcurrently) {
 TEST(EngineTest, CancelFlagAbortsBothExecutors) {
   // A pre-set cancel flag must abort the solve at the scheduler's first
   // per-region poll, on the sequential and the work-stealing executor
-  // alike, with both timed_out and cancelled set.
+  // alike, with both timed_out and cancelled set; a past deadline stops
+  // both executors the same way but leaves cancelled clear.
   const Dataset ds = GenerateSynthetic(2000, 3, Distribution::kIndependent,
                                        60);
   Rng rng(61);
@@ -269,6 +272,15 @@ TEST(EngineTest, CancelFlagAbortsBothExecutors) {
     const ToprrResult result = SolveToprr(ds, 10, box, options);
     EXPECT_TRUE(result.timed_out);
     EXPECT_TRUE(result.cancelled);
+
+    ToprrOptions expired;
+    expired.num_threads = threads;
+    expired.deadline =
+        std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    const ToprrResult late = SolveToprr(ds, 10, box, expired);
+    EXPECT_TRUE(late.timed_out);
+    EXPECT_FALSE(late.cancelled);
+    EXPECT_EQ(late.stats.regions_tested, 0u);
   }
   // Budget expiry without cancellation keeps the two flags distinct.
   ToprrOptions budget_only;
@@ -279,20 +291,22 @@ TEST(EngineTest, CancelFlagAbortsBothExecutors) {
 }
 
 TEST(EngineTest, SolveBatchCancelResolvesEveryQuery) {
-  // With the batch-level cancel flag already set, SolveBatch must still
+  // With every query's cancel flag already set, SolveBatch must still
   // return one explicit cancelled result per query -- never hang and
   // never leave slots untouched.
   const Dataset ds = GenerateSynthetic(800, 3, Distribution::kIndependent,
                                        62);
   ToprrEngine engine(DatasetSnapshot::FromDataset(ds));
   Rng rng(63);
+  std::atomic<bool> cancel{true};
+  ToprrOptions options;
+  options.cancel = &cancel;
   std::vector<ToprrQuery> queries;
   for (int i = 0; i < 8; ++i) {
-    queries.push_back(ToprrQuery::FromBox(4, RandomPrefBox(2, 0.03, rng)));
+    queries.push_back(
+        ToprrQuery::FromBox(4, RandomPrefBox(2, 0.03, rng), options));
   }
-  std::atomic<bool> cancel{true};
-  const std::vector<ToprrResult> results =
-      engine.SolveBatch(queries, 3, &cancel);
+  const std::vector<ToprrResult> results = engine.SolveBatch(queries, 3);
   ASSERT_EQ(results.size(), queries.size());
   for (const ToprrResult& result : results) {
     EXPECT_TRUE(result.timed_out);
@@ -300,8 +314,7 @@ TEST(EngineTest, SolveBatchCancelResolvesEveryQuery) {
   }
   // The same batch solves normally once the flag is clear.
   cancel.store(false);
-  const std::vector<ToprrResult> solved =
-      engine.SolveBatch(queries, 3, &cancel);
+  const std::vector<ToprrResult> solved = engine.SolveBatch(queries, 3);
   for (const ToprrResult& result : solved) {
     EXPECT_FALSE(result.timed_out);
     EXPECT_FALSE(result.cancelled);

@@ -51,10 +51,9 @@ std::vector<Halfspace> HalfspacesOf(const FlatRegion& region) {
   return halfspaces;
 }
 
-// Hull volume at a tight coplanarity tolerance: split cells carry many
-// coplanar vertices, and at the default 1e-9 the hull's triangulation of
-// a cell in 5 dimensions can depend on the vertex order (seen at ~5e-5
-// relative error), which would make volume conservation untestable.
+// Hull volume at a tight coplanarity tolerance: the hull's absolute
+// error on a sliver is about eps times its surface, which the volume
+// conservation check below must not see.
 double VolumeOf(const std::vector<Vec>& vertices) {
   if (vertices.empty()) return 0.0;
   if (vertices[0].dim() > 1) {

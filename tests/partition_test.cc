@@ -165,7 +165,7 @@ TEST(PartitionTest, TimeBudgetAborts) {
   box.lo = Vec(4, 0.15);
   box.hi = Vec(4, 0.23);
   PartitionConfig config;
-  config.time_budget_seconds = 1e-4;  // far too small
+  config.deadline = DeadlineAfter(1e-4);  // far too soon
   const PartitionOutput out = PartitionPreferenceRegion(
       ds, AllIds(ds), 20, PrefRegion::FromBox(box), config);
   EXPECT_TRUE(out.timed_out);

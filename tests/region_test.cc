@@ -1,6 +1,7 @@
 #include "pref/region.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 
 #include <gtest/gtest.h>
@@ -119,9 +120,49 @@ TEST(RegionTest, WellFormedRejectsBadIdsAndDimensions) {
   EXPECT_FALSE(with([](std::vector<Vec>&, std::vector<RegionFacet>& f) {
     f[0].halfspace.normal = Vec{-1.0};
   }));
-  EXPECT_TRUE(with([](std::vector<Vec>&, std::vector<RegionFacet>& f) {
-    f[0].vertex_ids[0] = 3;  // in range: well-formed, if not geometric
+  // In range, but the vertex lies off the facet's plane.
+  EXPECT_FALSE(with([](std::vector<Vec>&, std::vector<RegionFacet>& f) {
+    f[0].vertex_ids[0] = 3;
   }));
+}
+
+TEST(RegionTest, WellFormedRejectsNonFiniteAndInconsistentValues) {
+  const PrefRegion box = PrefRegion::FromBox(MakeBox({0.1, 0.1}, {0.3, 0.3}));
+  const auto with = [&](auto edit) {
+    std::vector<Vec> vertices = box.vertices();
+    std::vector<RegionFacet> facets = box.facets();
+    edit(vertices, facets);
+    return PrefRegion::FromVerticesAndFacets(std::move(vertices),
+                                             std::move(facets))
+        .WellFormed(2);
+  };
+  using Vertices = std::vector<Vec>;
+  using Facets = std::vector<RegionFacet>;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(with([&](Vertices& v, Facets&) { v[0][1] = nan; }));
+  EXPECT_FALSE(with([&](Vertices& v, Facets&) { v[2][0] = -inf; }));
+  EXPECT_FALSE(
+      with([&](Vertices&, Facets& f) { f[1].halfspace.normal[0] = inf; }));
+  EXPECT_FALSE(
+      with([&](Vertices&, Facets& f) { f[3].halfspace.offset = nan; }));
+  EXPECT_FALSE(with([](Vertices&, Facets& f) {
+    f[0].halfspace.normal = Vec{0.0, 0.0};
+  }));
+  // A consistent box that leaves the simplex: a negative weight, and a
+  // weight sum above one.
+  EXPECT_FALSE(PrefRegion::FromBox(MakeBox({-0.1, 0.1}, {0.3, 0.3}))
+                   .WellFormed(2));
+  EXPECT_FALSE(PrefRegion::FromBox(MakeBox({0.1, 0.1}, {0.6, 0.6}))
+                   .WellFormed(2));
+  EXPECT_FALSE(PrefRegion::FromBox(MakeBox({-1e6, -1e6}, {1e6, 1e6}))
+                   .WellFormed(2));
+  // A facet moved inward cuts off vertices it does not list.
+  EXPECT_FALSE(with([](Vertices&, Facets& f) {
+    f[1].halfspace.offset = 0.2;  // x0 <= 0.2, but corners reach 0.3
+  }));
+  // Round-off far below the tolerance is accepted.
+  EXPECT_TRUE(with([](Vertices& v, Facets&) { v[3][0] += 1e-13; }));
 }
 
 TEST(RegionSplitTest, Interval) {

@@ -277,8 +277,8 @@ TEST(SchedulerTest, StealingExecutorStressByteIdenticalAcrossSeeds) {
     config.use_kswitch = true;
     config.collect_topk_union = true;
     config.collect_flat_cells = true;
-    config.max_regions = 200000;        // budget-capped, cap not reached
-    config.time_budget_seconds = 120.0; // ditto
+    config.max_regions = 200000;          // budget-capped, cap not reached
+    config.deadline = DeadlineAfter(120.0);  // ditto
     const PartitionOutput seq = PartitionPreferenceRegion(
         ds, candidates, k, PrefRegion::FromBox(box), config);
     ASSERT_FALSE(seq.timed_out) << seed;

@@ -13,6 +13,7 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -283,6 +284,50 @@ TEST(ServeServerTest, UnsolvableQueriesAnswerMalformed) {
   EXPECT_EQ((*next)[0].status, ServeStatus::kOk);
 }
 
+TEST(ServeServerTest, NonFiniteAndInconsistentRegionsAnswerMalformed) {
+  // Regions whose numbers are not a polytope in the simplex: a NaN or
+  // infinite coordinate (a NaN vertex with geometry on once aborted the
+  // server in the halfspace intersection), a box far outside the
+  // simplex, and facets that disagree with their vertices. Each gets
+  // kMalformed, and the server answers the next valid query.
+  const Dataset data =
+      GenerateSynthetic(2000, 3, Distribution::kIndependent, 55);
+  auto server = StartServer(data, ServerConfig{});
+  ToprrClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port()));
+
+  using Vertices = std::vector<Vec>;
+  using Facets = std::vector<RegionFacet>;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  ToprrQuery nan_box = ToprrQuery::FromBox(3, Box({0.2, 0.2}, {0.25, 0.25}));
+  std::vector<Vec> vertices = nan_box.region.vertices();
+  vertices[0][0] = nan;
+  nan_box.region = PrefRegion::FromVerticesAndFacets(
+      std::move(vertices), nan_box.region.facets());
+  ASSERT_TRUE(nan_box.options.build_geometry);
+  const std::vector<ToprrQuery> bad = {
+      nan_box,
+      TriangleQuery([&](Vertices& v, Facets&) { v[2][1] = inf; }),
+      TriangleQuery([&](Vertices&, Facets& f) { f[1].halfspace.offset = nan; }),
+      ToprrQuery::FromBox(3, Box({-1e6, -1e6}, {1e6, 1e6})),
+      ToprrQuery::FromBox(3, Box({0.5, 0.5}, {0.6, 0.6})),
+      // Incident vertex off the facet's plane.
+      TriangleQuery([](Vertices&, Facets& f) { f[0].vertex_ids = {0, 2}; }),
+      // A vertex outside a facet.
+      TriangleQuery([](Vertices& v, Facets&) { v[2] = Vec{0.2, 0.1}; }),
+  };
+  for (size_t i = 0; i < bad.size(); ++i) {
+    SCOPED_TRACE(i);
+    auto responses = client.QueryBatch({bad[i]});
+    ASSERT_TRUE(responses.has_value()) << client.last_error();
+    EXPECT_EQ((*responses)[0].status, ServeStatus::kMalformed);
+    auto next = client.QueryBatch({TriangleQuery([](Vertices&, Facets&) {})});
+    ASSERT_TRUE(next.has_value()) << client.last_error();
+    EXPECT_EQ((*next)[0].status, ServeStatus::kOk);
+  }
+}
+
 TEST(ServeServerTest, UndecodableFrameGetsMalformedMarkerAndSyncHolds) {
   const Dataset data =
       GenerateSynthetic(300, 3, Distribution::kIndependent, 49);
@@ -400,7 +445,7 @@ TEST(ServeServerTest, StopCancelsInFlightWork) {
     // The reply may be a kShutdown response or a dropped connection,
     // depending on timing; both are acceptable shutdown behavior.
     client.QueryBatch({ToprrQuery::FromBox(
-        10, Box({0.05, 0.05, 0.05}, {0.45, 0.45, 0.45}))});
+        10, Box({0.05, 0.05, 0.05}, {0.33, 0.33, 0.33}))});
   });
   // Give the query time to reach the solver.
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
@@ -442,7 +487,7 @@ TEST(ServeServerTest, StopWhileCacheHotNeitherDeadlocksNorLeaks) {
     ToprrClient client;
     if (!client.Connect("127.0.0.1", server->port())) return;
     client.QueryBatch({ToprrQuery::FromBox(
-        10, Box({0.05, 0.05, 0.05}, {0.45, 0.45, 0.45}))});
+        10, Box({0.05, 0.05, 0.05}, {0.33, 0.33, 0.33}))});
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   server->Stop();
@@ -860,48 +905,82 @@ ToprrQuery StalledSolveQuery(int num_threads) {
   ToprrOptions options;
   options.num_threads = num_threads;
   return ToprrQuery::FromBox(
-      10, Box({0.05, 0.05, 0.05}, {0.45, 0.45, 0.45}), options);
+      10, Box({0.05, 0.05, 0.05}, {0.33, 0.33, 0.33}), options);
 }
 
-// Sends a 50ms-deadline batch over a raw socket (no client-side read
-// timeout, so a sanitizer-slowed cancel unwind cannot fail the test on
-// the client end) and requires the server to answer DEADLINE_EXCEEDED
-// in bounded time. The client-knob path (QueryOptions::deadline_seconds
-// -> wire) is covered by ServerClampsDeadlineToConfiguredCeiling.
-void ExpectDeadlineExceeded(int solver_threads) {
+// What one stalled-solve batch got back from the server.
+struct StalledSolveOutcome {
+  std::optional<ServeStatus> status;  // nullopt: the server hung up
+  double seconds = 0.0;               // from send to reply (or hang-up)
+  ServerStatsSnapshot stats;
+};
+
+// Sends one stalled-solve batch, with the given per-query budget and
+// wire deadline (0 = none), over a raw socket: no client-side read
+// timeout, so a sanitizer-slowed unwind cannot fail the test on the
+// client end. With `stop_after_ms` > 0 the server is Stop()ped that
+// long after the send. The server clamps no budget, so the budget,
+// the deadline and Stop() are the only ways the solve ends.
+StalledSolveOutcome RunStalledSolve(int solver_threads, double budget_seconds,
+                                    uint64_t deadline_ms,
+                                    int stop_after_ms = 0) {
   ServerConfig config;
-  config.max_query_budget_seconds = 0.0;  // no clamp: rely on the deadline
+  config.max_query_budget_seconds = 0.0;
   auto server = StartServer(StalledSolveData(), config);
+  StalledSolveOutcome outcome;
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
+  EXPECT_GE(fd, 0);
+  if (fd < 0) return outcome;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(server->port()));
-  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(
+  EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(
       ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   FdStream stream(fd);
 
+  ToprrQuery query = StalledSolveQuery(solver_threads);
+  query.options.time_budget_seconds = budget_seconds;
   const auto start = std::chrono::steady_clock::now();
-  ASSERT_TRUE(WriteFrame(
-      stream, EncodeQueryBatch({StalledSolveQuery(solver_threads)},
-                               /*deadline_ms=*/50)));
+  EXPECT_TRUE(WriteFrame(stream, EncodeQueryBatch({query}, deadline_ms)));
+  std::thread stopper;
+  if (stop_after_ms > 0) {
+    stopper = std::thread([&server, stop_after_ms] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(stop_after_ms));
+      server->Stop();
+    });
+  }
   std::string reply;
-  ASSERT_EQ(ReadFrame(stream, &reply), FrameReadStatus::kOk);
-  const double elapsed =
+  const FrameReadStatus read = ReadFrame(stream, &reply);
+  outcome.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  if (stopper.joinable()) stopper.join();
   ::close(fd);
-  // Bounded time: the deadline fires at 50ms and the cooperative cancel
-  // unwinds the solve promptly -- nowhere near the minutes the full
-  // solve would take. The bound is generous for sanitizer builds.
-  EXPECT_LT(elapsed, 30.0);
+  outcome.stats = server->stats().Snapshot();
+  if (read != FrameReadStatus::kOk) return outcome;
   std::vector<ServeResponse> responses;
   std::string error;
-  ASSERT_TRUE(DecodeResponseBatch(reply, &responses, &error)) << error;
-  ASSERT_EQ(responses.size(), 1u);
-  EXPECT_EQ(responses[0].status, ServeStatus::kDeadlineExceeded);
-  EXPECT_GE(server->stats().Snapshot().queries_deadline_exceeded, 1u);
+  EXPECT_TRUE(DecodeResponseBatch(reply, &responses, &error)) << error;
+  EXPECT_EQ(responses.size(), 1u);
+  if (responses.size() == 1) outcome.status = responses[0].status;
+  return outcome;
+}
+
+// A 50ms deadline must answer DEADLINE_EXCEEDED in bounded time. The
+// client-knob path (QueryOptions::deadline_seconds -> wire) is covered
+// by ServerClampsDeadlineToConfiguredCeiling.
+void ExpectDeadlineExceeded(int solver_threads) {
+  const StalledSolveOutcome outcome =
+      RunStalledSolve(solver_threads, /*budget_seconds=*/0.0,
+                      /*deadline_ms=*/50);
+  // Bounded time: the scheduler sees the deadline pass at its next
+  // per-region poll and unwinds the solve promptly -- nowhere near the
+  // minutes the full solve would take. The bound is generous for
+  // sanitizer builds.
+  EXPECT_LT(outcome.seconds, 30.0);
+  EXPECT_EQ(outcome.status, ServeStatus::kDeadlineExceeded);
+  EXPECT_GE(outcome.stats.queries_deadline_exceeded, 1u);
 }
 
 TEST(ServeServerTest, DeadlineExceededOnStalledSequentialSolve) {
@@ -910,6 +989,52 @@ TEST(ServeServerTest, DeadlineExceededOnStalledSequentialSolve) {
 
 TEST(ServeServerTest, DeadlineExceededOnStalledWorkStealingSolve) {
   ExpectDeadlineExceeded(/*solver_threads=*/4);
+}
+
+// Each stop of a stalled solve has its own answer, on both executors:
+// the budget's kBudgetExceeded, the deadline's kDeadlineExceeded, and
+// Stop()'s kShutdown -- shutdown winning over a deadline that has not
+// passed.
+TEST(ServeServerTest, ShortBudgetUnderFarDeadlineIsBudgetExceeded) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const StalledSolveOutcome outcome =
+        RunStalledSolve(threads, /*budget_seconds=*/0.05,
+                        /*deadline_ms=*/60000);
+    EXPECT_LT(outcome.seconds, 30.0);
+    EXPECT_EQ(outcome.status, ServeStatus::kBudgetExceeded);
+    EXPECT_EQ(outcome.stats.queries_budget_exceeded, 1u);
+    EXPECT_EQ(outcome.stats.queries_deadline_exceeded, 0u);
+  }
+}
+
+TEST(ServeServerTest, ShortDeadlineUnderFarBudgetIsDeadlineExceeded) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const StalledSolveOutcome outcome =
+        RunStalledSolve(threads, /*budget_seconds=*/600.0,
+                        /*deadline_ms=*/50);
+    EXPECT_LT(outcome.seconds, 30.0);
+    EXPECT_EQ(outcome.status, ServeStatus::kDeadlineExceeded);
+    EXPECT_EQ(outcome.stats.queries_deadline_exceeded, 1u);
+    EXPECT_EQ(outcome.stats.queries_budget_exceeded, 0u);
+  }
+}
+
+TEST(ServeServerTest, StopDuringDeadlineCarryingSolveIsShutdown) {
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    const StalledSolveOutcome outcome =
+        RunStalledSolve(threads, /*budget_seconds=*/0.0,
+                        /*deadline_ms=*/60000, /*stop_after_ms=*/300);
+    EXPECT_LT(outcome.seconds, 30.0);
+    // The reply races the socket shutdown: a kShutdown answer or a
+    // closed connection are both shutdown, a deadline answer never is.
+    if (outcome.status.has_value()) {
+      EXPECT_EQ(*outcome.status, ServeStatus::kShutdown);
+    }
+    EXPECT_EQ(outcome.stats.queries_deadline_exceeded, 0u);
+  }
 }
 
 TEST(ServeServerTest, GenerousDeadlineDoesNotDisturbFastQueries) {
@@ -1031,7 +1156,7 @@ TEST(ServeServerTest, DrainRejectsNewWorkThenStops) {
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_TRUE(server->draining());
   auto rejected = probe.Query(ToprrQuery::FromBox(
-      10, Box({0.05, 0.05, 0.05}, {0.45, 0.45, 0.45})));
+      10, Box({0.05, 0.05, 0.05}, {0.33, 0.33, 0.33})));
   if (rejected.has_value()) {
     EXPECT_EQ(rejected->status, ServeStatus::kRejectedDraining);
     EXPECT_GE(server->stats().Snapshot().queries_rejected_draining, 1u);
