@@ -167,7 +167,7 @@ struct StealState {
     }
   }
 
-  // Budget-stopped runs abandon tasks in the deques; the last owner of
+  // Stopped runs abandon tasks in the deques; the last owner of
   // the state (possibly a late pool helper) frees them. Single-threaded
   // by then, so the owner-only Pop is safe from any thread.
   ~StealState() {

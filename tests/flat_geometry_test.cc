@@ -51,16 +51,9 @@ std::vector<Halfspace> HalfspacesOf(const FlatRegion& region) {
   return halfspaces;
 }
 
-// Hull volume at a tight coplanarity tolerance: the hull's absolute
-// error on a sliver is about eps times its surface, which the volume
-// conservation check below must not see.
 double VolumeOf(const std::vector<Vec>& vertices) {
   if (vertices.empty()) return 0.0;
-  if (vertices[0].dim() > 1) {
-    ConvexHullOptions options;
-    options.eps = 1e-12;
-    return ConvexHullVolume(vertices, options);
-  }
+  if (vertices[0].dim() > 1) return ConvexHullVolume(vertices);
   double lo = vertices[0][0];
   double hi = lo;
   for (const Vec& v : vertices) {
@@ -158,8 +151,8 @@ void ExpectSplitMatchesDefinition(const FlatRegion& region,
   const double children_volume =
       (below.has_value() ? VolumeOf(VerticesOf(*below)) : 0.0) +
       (above.has_value() ? VolumeOf(VerticesOf(*above)) : 0.0);
-  // Relative slack plus the hull's absolute error on slivers (its
-  // 1e-12 coplanarity tolerance times their surface).
+  // Relative slack plus an absolute term for slivers, whose volume is
+  // below what the hull resolves.
   EXPECT_NEAR(children_volume, parent_volume, 1e-9 * parent_volume + 1e-15)
       << "children volumes must sum to the parent's";
   if (below_out != nullptr) *below_out = std::move(below);
